@@ -5,7 +5,8 @@
 // Accepts the same flags as the exp_* binaries in addition to the native
 // google-benchmark ones:
 //   --json <path>   write a BENCH_micro.json document with one row per
-//                   benchmark (name, iterations, times, counters)
+//                   benchmark (name, iterations, times, counters) and an
+//                   environment fingerprint
 //   --smoke         cut --benchmark_min_time down so the whole suite runs
 //                   in seconds
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/check.h"
@@ -23,6 +25,7 @@
 #include "src/crypto/rsa.h"
 #include "src/crypto/sha1.h"
 #include "src/crypto/sha256.h"
+#include "src/crypto/sha_ni.h"
 #include "src/diskstore/disk_store.h"
 #include "src/diskstore/sharded_store.h"
 #include "src/net/frame.h"
@@ -63,35 +66,35 @@ struct ScratchDir {
   std::string path;
 };
 
-void BM_Sha1(benchmark::State& state) {
-  Rng rng(1);
+// Each per-byte kernel twice: as PAST calls it (the SHA-NI / SSE4.2 kernel
+// where the CPU has it) and the portable reference, on the same bytes.
+template <auto kHash>
+void BM_Bytes(benchmark::State& state, uint64_t seed) {
+  Rng rng(seed);
   Bytes data = rng.RandomBytes(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha1::Hash(ByteSpan(data.data(), data.size())));
+    benchmark::DoNotOptimize(kHash(ByteSpan(data.data(), data.size())));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(65536);
 
-void BM_Sha256(benchmark::State& state) {
-  Rng rng(2);
-  Bytes data = rng.RandomBytes(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Hash(ByteSpan(data.data(), data.size())));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+void BM_Sha1(benchmark::State& state) { BM_Bytes<Sha1::Hash>(state, 1); }
+void BM_Sha1Portable(benchmark::State& state) {
+  BM_Bytes<detail::Sha1Portable>(state, 1);
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
-
-void BM_Crc32c(benchmark::State& state) {
-  Rng rng(12);
-  Bytes data = rng.RandomBytes(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32c(ByteSpan(data.data(), data.size())));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+void BM_Sha256(benchmark::State& state) { BM_Bytes<Sha256::Hash>(state, 2); }
+void BM_Sha256Portable(benchmark::State& state) {
+  BM_Bytes<detail::Sha256Portable>(state, 2);
 }
-BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
+uint32_t Crc32cPortable(ByteSpan data) { return detail::Crc32cExtendPortable(0, data); }
+void BM_Crc32c(benchmark::State& state) { BM_Bytes<Crc32c>(state, 12); }
+void BM_Crc32cPortable(benchmark::State& state) { BM_Bytes<Crc32cPortable>(state, 12); }
+BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Sha1Portable)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 void BM_HmacSha256(benchmark::State& state) {
   Rng rng(3);
@@ -711,6 +714,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   bool Write(const std::string& path) {
     JsonValue root = JsonValue::Object();
     root.Set("experiment", "micro");
+    root.Set("fingerprint", Fingerprint());
     JsonValue results = JsonValue::Object();
     results.Set("benchmarks", std::move(rows_));
     root.Set("results", std::move(results));
@@ -729,6 +733,18 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
   }
 
  private:
+  // The environment the rows were measured in, including which per-byte
+  // kernels the dispatched (non-Portable) rows ran on.
+  static JsonValue Fingerprint() {
+    JsonValue fp = JsonValue::Object();
+    fp.Set("nproc", static_cast<int64_t>(std::thread::hardware_concurrency()));
+    fp.Set("compiler", std::string("gcc ") + __VERSION__);
+    fp.Set("build_type", PAST_BUILD_TYPE);
+    fp.Set("sha_ni", detail::CpuHasShaNi());
+    fp.Set("crc32c_sse4_2", detail::Crc32cHardware());
+    return fp;
+  }
+
   JsonValue rows_ = JsonValue::Array();
 };
 

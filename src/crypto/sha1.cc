@@ -2,9 +2,10 @@
 
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#include "src/crypto/sha_ni.h"
+
+#if PAST_HAS_SHA_NI
 #include <immintrin.h>
-#define PAST_SHA1_HAS_NI 1
 #endif
 
 namespace past {
@@ -12,68 +13,130 @@ namespace {
 
 uint32_t Rotl32(uint32_t x, int k) { return (x << k) | (x >> (32 - k)); }
 
-#if PAST_SHA1_HAS_NI
-// One-block SHA-1 compression using the SHA-NI instructions, selected at
-// runtime when the CPU supports them. Twenty groups of four rounds: each
+void BlocksPortable(uint32_t* state, const uint8_t* blocks, size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      uint32_t v;
+      std::memcpy(&v, blocks + 4 * i, 4);
+      w[i] = __builtin_bswap32(v);
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3], e = state[4];
+    // Four branch-free round groups (one per round constant) so the compiler
+    // can unroll; the register rotation compiles down to renames.
+#define PAST_SHA1_ROUND(i, f, k)                            \
+  do {                                                      \
+    uint32_t temp = Rotl32(a, 5) + (f) + e + (k) + w[(i)];  \
+    e = d;                                                  \
+    d = c;                                                  \
+    c = Rotl32(b, 30);                                      \
+    b = a;                                                  \
+    a = temp;                                               \
+  } while (0)
+    for (int i = 0; i < 20; ++i) {
+      PAST_SHA1_ROUND(i, (b & c) | ((~b) & d), 0x5A827999);
+    }
+    for (int i = 20; i < 40; ++i) {
+      PAST_SHA1_ROUND(i, b ^ c ^ d, 0x6ED9EBA1);
+    }
+    for (int i = 40; i < 60; ++i) {
+      PAST_SHA1_ROUND(i, (b & c) | (b & d) | (c & d), 0x8F1BBCDC);
+    }
+    for (int i = 60; i < 80; ++i) {
+      PAST_SHA1_ROUND(i, b ^ c ^ d, 0xCA62C1D6);
+    }
+#undef PAST_SHA1_ROUND
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+#if PAST_HAS_SHA_NI
+// Multi-block SHA-1 compression on the SHA-NI instructions, selected at
+// runtime when the CPU supports them. ABCD and E stay in registers for the
+// whole run of blocks. Per block, twenty groups of four rounds: each
 // _mm_sha1rnds4_epu32 executes four rounds, the four message vectors rotate
 // through sha1msg1/xor/sha1msg2 to extend the W schedule, and the running E
 // term alternates between two accumulators (sha1nexte folds the rotated `a`
-// word of the previous group into the next group's W block). The loop is
-// fully unrolled, so every msg index and round constant is compile-time.
-__attribute__((target("sha,sse4.1,ssse3"))) void ProcessBlockShaNi(
-    uint32_t* h, const uint8_t* block) {
+// word of the previous group into the next group's W block). The group loop
+// is fully unrolled, so every msg index and round constant is compile-time.
+__attribute__((target("sha,sse4.1,ssse3"))) void BlocksShaNi(
+    uint32_t* state, const uint8_t* blocks, size_t count) {
   const __m128i kByteReverse =
       _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
-  __m128i abcd = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h));
+  __m128i abcd = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
   abcd = _mm_shuffle_epi32(abcd, 0x1B);
-  __m128i e0 = _mm_set_epi32(static_cast<int>(h[4]), 0, 0, 0);
-  __m128i e1 = _mm_setzero_si128();
-  const __m128i abcd_save = abcd;
-  const __m128i e0_save = e0;
-  __m128i msg[4];
+  __m128i e_in = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abcd_save = abcd;
+    const __m128i e_save = e_in;
+    __m128i e0 = e_in;
+    __m128i e1 = _mm_setzero_si128();
+    __m128i msg[4];
 #pragma GCC unroll 20
-  for (int g = 0; g < 20; ++g) {
-    if (g < 4) {
-      msg[g] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g));
-      msg[g] = _mm_shuffle_epi8(msg[g], kByteReverse);
+    for (int g = 0; g < 20; ++g) {
+      if (g < 4) {
+        msg[g] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g));
+        msg[g] = _mm_shuffle_epi8(msg[g], kByteReverse);
+      }
+      __m128i e;
+      if (g == 0) {
+        e0 = _mm_add_epi32(e0, msg[0]);
+        e = e0;
+        e1 = abcd;
+      } else if (g % 2 == 1) {
+        e1 = _mm_sha1nexte_epu32(e1, msg[g % 4]);
+        e = e1;
+        e0 = abcd;
+      } else {
+        e0 = _mm_sha1nexte_epu32(e0, msg[g % 4]);
+        e = e0;
+        e1 = abcd;
+      }
+      if (g >= 3 && g <= 18) {
+        msg[(g + 1) % 4] = _mm_sha1msg2_epu32(msg[(g + 1) % 4], msg[g % 4]);
+      }
+      switch (g / 5) {  // the round-constant immediate must be a literal
+        case 0: abcd = _mm_sha1rnds4_epu32(abcd, e, 0); break;
+        case 1: abcd = _mm_sha1rnds4_epu32(abcd, e, 1); break;
+        case 2: abcd = _mm_sha1rnds4_epu32(abcd, e, 2); break;
+        case 3: abcd = _mm_sha1rnds4_epu32(abcd, e, 3); break;
+      }
+      if (g >= 1 && g <= 16) {
+        msg[(g + 3) % 4] = _mm_sha1msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
+      }
+      if (g >= 2 && g <= 17) {
+        msg[(g + 2) % 4] = _mm_xor_si128(msg[(g + 2) % 4], msg[g % 4]);
+      }
     }
-    __m128i e;
-    if (g == 0) {
-      e0 = _mm_add_epi32(e0, msg[0]);
-      e = e0;
-      e1 = abcd;
-    } else if (g % 2 == 1) {
-      e1 = _mm_sha1nexte_epu32(e1, msg[g % 4]);
-      e = e1;
-      e0 = abcd;
-    } else {
-      e0 = _mm_sha1nexte_epu32(e0, msg[g % 4]);
-      e = e0;
-      e1 = abcd;
-    }
-    if (g >= 3 && g <= 18) {
-      msg[(g + 1) % 4] = _mm_sha1msg2_epu32(msg[(g + 1) % 4], msg[g % 4]);
-    }
-    switch (g / 5) {  // the round-constant immediate must be a literal
-      case 0: abcd = _mm_sha1rnds4_epu32(abcd, e, 0); break;
-      case 1: abcd = _mm_sha1rnds4_epu32(abcd, e, 1); break;
-      case 2: abcd = _mm_sha1rnds4_epu32(abcd, e, 2); break;
-      case 3: abcd = _mm_sha1rnds4_epu32(abcd, e, 3); break;
-    }
-    if (g >= 1 && g <= 16) {
-      msg[(g + 3) % 4] = _mm_sha1msg1_epu32(msg[(g + 3) % 4], msg[g % 4]);
-    }
-    if (g >= 2 && g <= 17) {
-      msg[(g + 2) % 4] = _mm_xor_si128(msg[(g + 2) % 4], msg[g % 4]);
-    }
+    e_in = _mm_sha1nexte_epu32(e0, e_save);
+    abcd = _mm_add_epi32(abcd, abcd_save);
   }
-  e0 = _mm_sha1nexte_epu32(e0, e0_save);
-  abcd = _mm_add_epi32(abcd, abcd_save);
+
   abcd = _mm_shuffle_epi32(abcd, 0x1B);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(h), abcd);
-  h[4] = static_cast<uint32_t>(_mm_extract_epi32(e0, 3));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abcd);
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e_in, 3));
 }
-#endif  // PAST_SHA1_HAS_NI
+#endif  // PAST_HAS_SHA_NI
+
+// The block function Update and Finish use: SHA-NI when the CPU has it.
+using BlockFn = void (*)(uint32_t* state, const uint8_t* blocks, size_t count);
+BlockFn Kernel() {
+#if PAST_HAS_SHA_NI
+  if (detail::CpuHasShaNi()) {
+    return BlocksShaNi;
+  }
+#endif
+  return BlocksPortable;
+}
 
 }  // namespace
 
@@ -85,30 +148,41 @@ Sha1::Sha1() : total_bytes_(0), buffered_(0) {
   h_[4] = 0xC3D2E1F0;
 }
 
-void Sha1::Update(ByteSpan data) {
+void Sha1::Update(ByteSpan data) { Absorb(data, Kernel()); }
+
+std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() { return Pad(Kernel()); }
+
+void Sha1::Absorb(ByteSpan data, BlockFn compress) {
+  if (data.empty()) {
+    return;
+  }
   total_bytes_ += data.size();
-  size_t offset = 0;
+  const uint8_t* p = data.data();
+  size_t n = data.size();
   if (buffered_ > 0) {
-    size_t take = std::min(data.size(), sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, data.data(), take);
+    size_t take = std::min(n, sizeof(buffer_) - buffered_);
+    std::memcpy(buffer_ + buffered_, p, take);
     buffered_ += take;
-    offset = take;
-    if (buffered_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffered_ = 0;
+    p += take;
+    n -= take;
+    if (buffered_ < sizeof(buffer_)) {
+      return;
     }
+    compress(h_, buffer_, 1);
+    buffered_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
+  if (n >= 64) {
+    compress(h_, p, n / 64);
+    p += n & ~size_t{63};
+    n &= 63;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_, data.data() + offset, data.size() - offset);
-    buffered_ = data.size() - offset;
+  if (n > 0) {
+    std::memcpy(buffer_, p, n);
+    buffered_ = n;
   }
 }
 
-std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
+std::array<uint8_t, Sha1::kDigestBytes> Sha1::Pad(BlockFn compress) {
   uint64_t bit_len = total_bytes_ * 8;
   // One padding buffer (0x80, zeros, big-endian bit length) instead of
   // byte-at-a-time Update calls.
@@ -117,7 +191,7 @@ std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
   for (int i = 0; i < 8; ++i) {
     pad[pad_len + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(ByteSpan(pad, pad_len + 8));
+  Absorb(ByteSpan(pad, pad_len + 8), compress);
 
   std::array<uint8_t, kDigestBytes> out;
   for (int i = 0; i < 5; ++i) {
@@ -127,55 +201,6 @@ std::array<uint8_t, Sha1::kDigestBytes> Sha1::Finish() {
     out[4 * i + 3] = static_cast<uint8_t>(h_[i]);
   }
   return out;
-}
-
-void Sha1::ProcessBlock(const uint8_t* block) {
-#if PAST_SHA1_HAS_NI
-  if (__builtin_cpu_supports("sha")) {
-    ProcessBlockShaNi(h_, block);
-    return;
-  }
-#endif
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    uint32_t v;
-    std::memcpy(&v, block + 4 * i, 4);
-    w[i] = __builtin_bswap32(v);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  // Four branch-free round groups (one per round constant) so the compiler
-  // can unroll; the register rotation compiles down to renames.
-#define PAST_SHA1_ROUND(i, f, k)                            \
-  do {                                                      \
-    uint32_t temp = Rotl32(a, 5) + (f) + e + (k) + w[(i)];  \
-    e = d;                                                  \
-    d = c;                                                  \
-    c = Rotl32(b, 30);                                      \
-    b = a;                                                  \
-    a = temp;                                               \
-  } while (0)
-  for (int i = 0; i < 20; ++i) {
-    PAST_SHA1_ROUND(i, (b & c) | ((~b) & d), 0x5A827999);
-  }
-  for (int i = 20; i < 40; ++i) {
-    PAST_SHA1_ROUND(i, b ^ c ^ d, 0x6ED9EBA1);
-  }
-  for (int i = 40; i < 60; ++i) {
-    PAST_SHA1_ROUND(i, (b & c) | (b & d) | (c & d), 0x8F1BBCDC);
-  }
-  for (int i = 60; i < 80; ++i) {
-    PAST_SHA1_ROUND(i, b ^ c ^ d, 0xCA62C1D6);
-  }
-#undef PAST_SHA1_ROUND
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
 }
 
 std::array<uint8_t, Sha1::kDigestBytes> Sha1::Hash(ByteSpan data) {
@@ -188,5 +213,15 @@ U160 Sha1::HashToU160(ByteSpan data) {
   auto digest = Hash(data);
   return U160::FromBytes(ByteSpan(digest.data(), digest.size()));
 }
+
+namespace detail {
+
+std::array<uint8_t, 20> Sha1Portable(ByteSpan data) {
+  Sha1 h;
+  h.Absorb(data, BlocksPortable);
+  return h.Pad(BlocksPortable);
+}
+
+}  // namespace detail
 
 }  // namespace past

@@ -149,6 +149,7 @@ TEST_F(RoutingTableTest, ClearDropsEverything) {
 TEST_F(RoutingTableTest, RandomFillRespectsCapacityBound) {
   Rng rng(9);
   PastryConfig config;
+  proximity_.resize(5001, 1.0);  // one entry per address below
   for (int i = 0; i < 5000; ++i) {
     NodeDescriptor d{rng.NextU128(), static_cast<NodeAddr>(i + 1)};
     table_.MaybeAdd(d);
