@@ -3,6 +3,8 @@
 // randomization switches, and every proximity topology.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/pastry/overlay.h"
 
 namespace past {
@@ -17,13 +19,18 @@ struct VariantApp : public PastryApp {
   }
 };
 
+// gtest names each Sweep case by the raw bytes of its VariantParams, so the
+// struct has no padding: `reserved` fills the two bytes after the flags and
+// is always zero, which keeps the case names the same from run to run.
 struct VariantParams {
   int b;
   int leaf_set_size;
   bool locality;
   bool randomized;
+  uint8_t reserved[2] = {};
   TopologyKind topology;
 };
+static_assert(sizeof(VariantParams) == 16, "VariantParams must have no padding");
 
 class ConfigVariants : public ::testing::TestWithParam<VariantParams> {};
 
@@ -67,13 +74,20 @@ TEST_P(ConfigVariants, RoutingCorrectAndStateBounded) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConfigVariants,
     ::testing::Values(
-        VariantParams{2, 16, true, false, TopologyKind::kSphere},
-        VariantParams{8, 32, true, false, TopologyKind::kSphere},
-        VariantParams{4, 8, true, false, TopologyKind::kSphere},
-        VariantParams{4, 32, false, false, TopologyKind::kSphere},
-        VariantParams{4, 32, true, true, TopologyKind::kPlane},
-        VariantParams{4, 16, true, false, TopologyKind::kClustered},
-        VariantParams{1, 8, true, false, TopologyKind::kPlane}));
+        VariantParams{.b = 2, .leaf_set_size = 16, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 8, .leaf_set_size = 32, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 8, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 32, .locality = false,
+                      .randomized = false, .topology = TopologyKind::kSphere},
+        VariantParams{.b = 4, .leaf_set_size = 32, .locality = true,
+                      .randomized = true, .topology = TopologyKind::kPlane},
+        VariantParams{.b = 4, .leaf_set_size = 16, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kClustered},
+        VariantParams{.b = 1, .leaf_set_size = 8, .locality = true,
+                      .randomized = false, .topology = TopologyKind::kPlane}));
 
 TEST(ConfigVariantsTest, DigitWidthControlsHopStateTradeoff) {
   // Larger b -> fewer hops, bigger tables (HotOS: b is the knob).
