@@ -145,8 +145,8 @@ void PastryNode::Fail() {
     }
   }
   pending_join_acks_.clear();
-  last_heard_.clear();
-  death_list_.clear();
+  last_heard_.Clear();
+  death_list_.Clear();
 }
 
 void PastryNode::Recover(NodeAddr fallback_bootstrap) {
@@ -178,8 +178,8 @@ size_t PastryNode::MemoryUsage() const {
   bytes += rt_.MemoryUsage() - sizeof(rt_);
   bytes += leaf_.MemoryUsage() - sizeof(leaf_);
   bytes += nb_.MemoryUsage() - sizeof(nb_);
-  // Hash maps: node per element plus the bucket pointer array (approximate,
-  // the idiom used across the repo's MemoryUsage accounting).
+  // Pending-ack hash maps: node per element plus the bucket pointer array
+  // (approximate, the idiom used across the repo's MemoryUsage accounting).
   auto map_bytes = [](size_t elems, size_t buckets, size_t entry_size) {
     return elems * (entry_size + 2 * sizeof(void*)) + buckets * sizeof(void*);
   };
@@ -187,10 +187,8 @@ size_t PastryNode::MemoryUsage() const {
                      sizeof(uint64_t) + sizeof(PendingAck));
   bytes += map_bytes(pending_join_acks_.size(), pending_join_acks_.bucket_count(),
                      sizeof(uint64_t) + sizeof(PendingJoinAck));
-  bytes += map_bytes(last_heard_.size(), last_heard_.bucket_count(),
-                     sizeof(U128) + sizeof(SimTime));
-  bytes += map_bytes(death_list_.size(), death_list_.bucket_count(),
-                     sizeof(U128) + sizeof(SimTime));
+  // The liveness and quarantine tables are flat arrays: exact.
+  bytes += last_heard_.MemoryUsage() + death_list_.MemoryUsage();
   bytes += last_leaf_members_.capacity() * sizeof(NodeDescriptor);
   if (owned_intern_ != nullptr) {
     bytes += owned_intern_->MemoryUsage();
@@ -654,10 +652,10 @@ void PastryNode::KeepAliveTick() {
   ka.sender = descriptor();
   SharedBytes ka_wire(EncodeMessage(ka));
   for (const auto& d : members) {
-    auto it = last_heard_.find(d.id);
-    if (it == last_heard_.end()) {
-      last_heard_[d.id] = now;  // newly tracked member
-    } else if (now - it->second > config_.failure_timeout) {
+    const SimTime* heard = last_heard_.Find(d.id);
+    if (heard == nullptr) {
+      last_heard_.Set(d.id, now);  // newly tracked member
+    } else if (now - *heard > config_.failure_timeout) {
       suspects.push_back(d);
       continue;
     }
@@ -677,11 +675,11 @@ void PastryNode::HandleNodeFailure(const NodeDescriptor& failed) {
   }
   ++stats_.failures_detected;
   obs_.failures_detected->Inc();
-  death_list_[failed.id] = queue_->Now();
+  death_list_.Set(failed.id, queue_->Now());
   bool was_leaf = leaf_.Remove(failed.id);
   std::vector<std::pair<int, int>> vacated = rt_.RemoveNode(failed.id);
   nb_.Remove(failed.id);
-  last_heard_.erase(failed.id);
+  (void)last_heard_.Erase(failed.id);  // may be untracked (keep-alives off)
 
   if (was_leaf) {
     // Repair: ask the farthest live member on the failed node's side for its
@@ -730,19 +728,19 @@ bool PastryNode::Learn(const NodeDescriptor& d) {
   // keep-alives off the map would grow to ~leaf-set size per node for
   // nothing, which is real memory at million-node scale.
   if (config_.keep_alive_period > 0 && leaf_changed &&
-      last_heard_.find(d.id) == last_heard_.end()) {
-    last_heard_[d.id] = queue_->Now();
+      last_heard_.Find(d.id) == nullptr) {
+    last_heard_.Set(d.id, queue_->Now());
   }
   return leaf_changed;
 }
 
 bool PastryNode::IsQuarantined(const NodeId& node_id) {
-  auto it = death_list_.find(node_id);
-  if (it == death_list_.end()) {
+  const SimTime* declared = death_list_.Find(node_id);
+  if (declared == nullptr) {
     return false;
   }
-  if (queue_->Now() - it->second >= config_.death_quarantine) {
-    death_list_.erase(it);
+  if (queue_->Now() - *declared >= config_.death_quarantine) {
+    (void)death_list_.Erase(node_id);  // just found: always present
     return false;
   }
   return true;
@@ -752,7 +750,7 @@ void PastryNode::TouchLiveness(const NodeId& node_id) {
   if (config_.keep_alive_period <= 0) {
     return;  // nothing reads last_heard_ without keep-alives
   }
-  last_heard_[node_id] = queue_->Now();
+  last_heard_.Set(node_id, queue_->Now());
 }
 
 // --- dispatch ------------------------------------------------------------------

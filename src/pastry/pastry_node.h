@@ -20,6 +20,7 @@
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
 #include "src/obs/route_trace.h"
+#include "src/pastry/id_time_table.h"
 #include "src/pastry/leaf_set.h"
 #include "src/pastry/messages.h"
 #include "src/pastry/neighborhood_set.h"
@@ -270,7 +271,9 @@ class PastryNode : public NetReceiver {
   bool Learn(const NodeDescriptor& d);
   void TouchLiveness(const NodeId& id);
   bool IsQuarantined(const NodeId& id);
-  void ClearQuarantine(const NodeId& id) { death_list_.erase(id); }
+  void ClearQuarantine(const NodeId& id) {
+    (void)death_list_.Erase(id);  // usually absent: nothing to lift
+  }
 
   // Multi-recipient sends (arrival announce, keep-alives) encode once and
   // pass the same SharedBytes to every recipient; the network's in-flight
@@ -311,9 +314,11 @@ class PastryNode : public NetReceiver {
 
   std::unordered_map<uint64_t, PendingAck> pending_acks_;
   std::unordered_map<uint64_t, PendingJoinAck> pending_join_acks_;
-  std::unordered_map<U128, SimTime, U128Hash> last_heard_;
+  // Every id ever heard from (or admitted to the leaf set) -> when it was
+  // last heard from; feeds KeepAliveTick's failure suspicion.
+  IdTimeTable last_heard_;
   // Recently failed nodes: id -> time of death declaration.
-  std::unordered_map<U128, SimTime, U128Hash> death_list_;
+  IdTimeTable death_list_;
   std::vector<NodeDescriptor> last_leaf_members_;  // snapshot for recovery
 
   Stats stats_;

@@ -1,7 +1,9 @@
 // Focused PastryNode behavior tests: replica-aware routing, per-hop ack
-// re-routing, death quarantine, and statistics.
+// re-routing, death quarantine, keep-alive failure detection, and
+// statistics.
 #include <gtest/gtest.h>
 
+#include "src/pastry/messages.h"
 #include "src/pastry/overlay.h"
 
 namespace past {
@@ -216,6 +218,271 @@ TEST(MaxHopGuardTest, HopCountsStayWellBelowCap) {
       EXPECT_LT(ctx.hops, 10);
     }
   }
+}
+
+// --- keep-alive liveness semantics -------------------------------------------
+//
+// One real node under test plus scripted peers on the same simulated network.
+// A peer answers the node's keep-alives only while `answering`, and it
+// answers synchronously, so the instant the node last heard from it is
+// exactly `last_answer`. Everything else the node learns is injected straight
+// into PastryNode::OnMessage at a chosen simulated time. These tests pin the
+// failure detector's current semantics, stale re-admission included.
+
+struct ScriptedPeer : public NetReceiver {
+  ScriptedPeer(Network* net, PastryNode* node, const NodeId& id)
+      : queue(net->queue()), target(node) {
+    desc.id = id;
+    desc.addr = net->Register(this);
+  }
+
+  void OnMessage(NodeAddr from, ByteSpan wire) override {
+    Reader r(wire);
+    PastryMsgType type;
+    if (!DecodeHeader(&r, &type) || type != PastryMsgType::kKeepAlive ||
+        from != target->addr()) {
+      return;
+    }
+    ++pings;
+    if (!answering) {
+      return;
+    }
+    last_answer = queue->Now();
+    KeepAliveAckMsg ack;
+    ack.sender = desc;
+    target->OnMessage(desc.addr, EncodeMessage(ack));
+  }
+
+  EventQueue* queue;
+  PastryNode* target;
+  NodeDescriptor desc;
+  bool answering = true;
+  int pings = 0;
+  SimTime last_answer = -1;
+};
+
+class LivenessTest : public ::testing::Test {
+ protected:
+  static constexpr SimTime kPeriod = 1 * kMicrosPerSecond;
+  static constexpr SimTime kTimeout = 3 * kMicrosPerSecond;
+  static constexpr SimTime kQuarantine = 6 * kMicrosPerSecond;
+  static constexpr uint64_t kSelfHi = 0x4000000000000000ULL;
+
+  void Start(int leaf_set_size) {
+    OverlayOptions opts;
+    opts.seed = 131;
+    opts.pastry.leaf_set_size = leaf_set_size;
+    opts.pastry.keep_alive_period = kPeriod;
+    opts.pastry.failure_timeout = kTimeout;
+    opts.pastry.death_quarantine = kQuarantine;
+    overlay_ = std::make_unique<Overlay>(opts);
+    node_ = overlay_->AddNodeWithId(U128(kSelfHi, 0));
+    ASSERT_TRUE(node_->active());
+    overlay_->Run(kPeriod / 4);
+  }
+
+  // A peer `offset` ids clockwise (positive) or counter-clockwise (negative)
+  // of the node under test.
+  ScriptedPeer& AddPeer(int64_t offset) {
+    U128 self(kSelfHi, 0);
+    U128 id = offset >= 0 ? self.Add(U128(0, static_cast<uint64_t>(offset)))
+                          : self.Sub(U128(0, static_cast<uint64_t>(-offset)));
+    peers_.push_back(std::make_unique<ScriptedPeer>(&overlay_->network(), node_, id));
+    return *peers_.back();
+  }
+
+  template <typename M>
+  void Inject(const ScriptedPeer& from, const M& msg) {
+    node_->OnMessage(from.desc.addr, EncodeMessage(msg));
+  }
+  void KeepAliveFrom(const ScriptedPeer& p) {
+    KeepAliveMsg ka;
+    ka.sender = p.desc;
+    Inject(p, ka);
+  }
+  void LeafSetReplyListing(const ScriptedPeer& from, const ScriptedPeer& listed) {
+    LeafSetReplyMsg reply;
+    reply.sender = from.desc;
+    reply.leaves = {listed.desc};
+    Inject(from, reply);
+  }
+
+  SimTime Now() { return overlay_->queue().Now(); }
+  void RunTo(SimTime t) { overlay_->queue().RunUntil(t); }
+  uint64_t Failures() const { return node_->stats().failures_detected; }
+  bool Holds(const ScriptedPeer& p) const { return node_->leaf_set().Contains(p.desc.id); }
+
+  // Runs event instant by event instant until the node has declared `count`
+  // failures in total; returns the instant of the last declaration.
+  SimTime RunUntilFailures(uint64_t count) {
+    EventQueue& q = overlay_->queue();
+    const SimTime give_up = q.Now() + 10 * kTimeout;
+    while (Failures() < count && q.Now() < give_up) {
+      q.RunUntil(q.NextDeadline());
+    }
+    EXPECT_EQ(Failures(), count);
+    return q.Now();
+  }
+
+  std::unique_ptr<Overlay> overlay_;
+  PastryNode* node_ = nullptr;
+  std::vector<std::unique_ptr<ScriptedPeer>> peers_;
+};
+
+TEST_F(LivenessTest, SilentLeafMemberDeclaredFailedAfterTimeoutNotBefore) {
+  Start(/*leaf_set_size=*/4);
+  ScriptedPeer& v = AddPeer(1000);
+  KeepAliveFrom(v);
+  ASSERT_TRUE(Holds(v));
+  RunTo(Now() + 5 * kPeriod);
+  EXPECT_TRUE(Holds(v));
+  EXPECT_EQ(Failures(), 0u);
+  EXPECT_GE(v.pings, 4);
+
+  v.answering = false;
+  const SimTime last_heard = v.last_answer;
+  ASSERT_GT(last_heard, 0);
+  // At exactly failure_timeout of silence the member is still trusted...
+  RunTo(last_heard + kTimeout);
+  EXPECT_TRUE(Holds(v));
+  EXPECT_EQ(Failures(), 0u);
+  // ...and the first keep-alive tick past it declares the failure.
+  const SimTime declared = RunUntilFailures(1);
+  EXPECT_GT(declared, last_heard + kTimeout);
+  EXPECT_LE(declared, last_heard + kTimeout + kPeriod);
+  EXPECT_FALSE(Holds(v));
+}
+
+TEST_F(LivenessTest, QuarantineKeepsFailedNodeOutOfLearnForItsDuration) {
+  Start(/*leaf_set_size=*/4);
+  ScriptedPeer& v = AddPeer(1000);
+  ScriptedPeer& s = AddPeer(-1000);
+  KeepAliveFrom(v);
+  KeepAliveFrom(s);
+  RunTo(Now() + 2 * kPeriod);
+  v.answering = false;
+  const SimTime declared = RunUntilFailures(1);
+  ASSERT_FALSE(Holds(v));
+
+  // Stale gossip naming the dead node is refused for the whole quarantine...
+  RunTo(declared + kPeriod);
+  LeafSetReplyListing(s, v);
+  EXPECT_FALSE(Holds(v));
+  RunTo(declared + kQuarantine - 1);
+  LeafSetReplyListing(s, v);
+  EXPECT_FALSE(Holds(v));
+  // ...and accepted again once it has expired.
+  RunTo(declared + kQuarantine);
+  LeafSetReplyListing(s, v);
+  EXPECT_TRUE(Holds(v));
+}
+
+enum class Evidence { kKeepAlive, kAnnounce, kDirect };
+
+class LivenessEvidenceTest : public LivenessTest,
+                             public ::testing::WithParamInterface<Evidence> {};
+
+TEST_P(LivenessEvidenceTest, DirectEvidenceOfLifeLiftsQuarantine) {
+  Start(/*leaf_set_size=*/4);
+  ScriptedPeer& v = AddPeer(1000);
+  ScriptedPeer& s = AddPeer(-1000);
+  KeepAliveFrom(v);
+  KeepAliveFrom(s);
+  RunTo(Now() + 2 * kPeriod);
+  v.answering = false;
+  const SimTime declared = RunUntilFailures(1);
+  RunTo(declared + kPeriod);
+  LeafSetReplyListing(s, v);
+  ASSERT_FALSE(Holds(v)) << "quarantined";
+
+  switch (GetParam()) {
+    case Evidence::kKeepAlive:
+      KeepAliveFrom(v);
+      break;
+    case Evidence::kAnnounce: {
+      AnnounceArrivalMsg announce;
+      announce.joiner = v.desc;
+      Inject(v, announce);
+      break;
+    }
+    case Evidence::kDirect: {
+      AppDirectMsg direct;
+      direct.source = v.desc;
+      direct.app_type = 7;
+      Inject(v, direct);
+      break;
+    }
+  }
+  EXPECT_TRUE(Holds(v));
+  EXPECT_LT(Now() - declared, kQuarantine);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, LivenessEvidenceTest,
+                         ::testing::Values(Evidence::kKeepAlive, Evidence::kAnnounce,
+                                           Evidence::kDirect),
+                         [](const ::testing::TestParamInfo<Evidence>& param) {
+                           switch (param.param) {
+                             case Evidence::kKeepAlive:
+                               return std::string("KeepAlive");
+                             case Evidence::kAnnounce:
+                               return std::string("Announce");
+                             case Evidence::kDirect:
+                               return std::string("Direct");
+                           }
+                           return std::string("Unknown");
+                         });
+
+// A node keeps the last-heard time of every id it has ever heard from, and a
+// member's clock starts at admission only when it has none. So a live node
+// that left the leaf set without being declared failed, and is re-admitted
+// from someone else's leaf-set reply more than failure_timeout later, is
+// suspected on the very next tick without being pinged. This is the source
+// of most false failure declarations under churn; a change to it must change
+// this test on purpose.
+TEST_F(LivenessTest, StaleClockOnReadmissionIsSuspectedOnNextTick) {
+  Start(/*leaf_set_size=*/2);  // one member per side
+  ScriptedPeer& s = AddPeer(-1000);
+  ScriptedPeer& w = AddPeer(1000);
+  ScriptedPeer& v = AddPeer(2000);
+  ScriptedPeer& fresh = AddPeer(3000);
+  KeepAliveFrom(s);
+  KeepAliveFrom(v);
+  RunTo(Now() + 3 * kPeriod);
+  ASSERT_TRUE(Holds(v));
+  ASSERT_GT(v.pings, 0);
+
+  // A closer node arrives and evicts v without any failure declaration.
+  AnnounceArrivalMsg announce;
+  announce.joiner = w.desc;
+  Inject(w, announce);
+  ASSERT_TRUE(Holds(w));
+  ASSERT_FALSE(Holds(v));
+  const SimTime v_heard = v.last_answer;
+  const int v_pings = v.pings;
+  RunTo(v_heard + kTimeout + 2 * kPeriod);
+  EXPECT_EQ(Failures(), 0u) << "non-members are never suspected";
+  EXPECT_EQ(v.pings, v_pings);
+
+  // The closer node dies; v, still alive, comes back through s's reply.
+  w.answering = false;
+  RunUntilFailures(1);
+  ASSERT_FALSE(Holds(w));
+  ASSERT_GT(Now() - v_heard, kTimeout);
+  LeafSetReplyListing(s, v);
+  ASSERT_TRUE(Holds(v));
+  const SimTime readmitted = Now();
+  const SimTime declared = RunUntilFailures(2);
+  EXPECT_LE(declared, readmitted + kPeriod) << "suspected on the next tick";
+  EXPECT_EQ(v.pings, v_pings) << "declared without being pinged";
+  EXPECT_FALSE(Holds(v));
+
+  // A node never heard from before gets a fresh clock on admission instead.
+  LeafSetReplyListing(s, fresh);
+  ASSERT_TRUE(Holds(fresh));
+  RunTo(Now() + kTimeout + 2 * kPeriod);
+  EXPECT_TRUE(Holds(fresh));
+  EXPECT_EQ(Failures(), 2u);
+  EXPECT_GT(fresh.pings, 0);
 }
 
 }  // namespace
