@@ -305,8 +305,6 @@ void BM_GroupCommitAppend(benchmark::State& state) {
     DiskStoreOptions options;
     options.shard_count = 4;
     options.group_commit = true;
-    options.commit_batch_max = 64;
-    options.commit_delay_us = 200;
     auto opened = ShardedDiskStore::Open(scratch->Sub("log"), options);
     PAST_CHECK_MSG(opened.ok(), "open failed");
     store = std::move(opened).value();

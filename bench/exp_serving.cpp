@@ -11,7 +11,7 @@
 // SLO — the "ops/sec at fixed p99" number BENCH_serving.json records.
 //
 // Flags beyond the shared exp_* set (--json/--smoke/--threads):
-//   --shards <n>    shard count for the engine (default 4)
+//   --shards <n>    shard count for the engine, 1..64 (default 4)
 //   --slo-us <n>    insert p99 SLO in microseconds (default 50000 — wide
 //                   enough that environment fsync jitter does not hide the
 //                   saturation knee, tight enough that overload fails it)
@@ -21,7 +21,7 @@
 //                   pacing) through the full concurrent engine, then print a
 //                   digest of the recovered store state. Output is
 //                   byte-identical for any shard/thread combination —
-//                   tools/serving_determinism_check.sh pins that.
+//                   the serving_determinism ctest pins that.
 #include <chrono>
 #include <cinttypes>
 #include <cstring>
@@ -73,7 +73,7 @@ ServingArgs ParseArgs(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       int n = std::atoi(argv[++i]);
-      if (n < 1) {
+      if (n < 1 || n > static_cast<int>(ShardedDiskStore::kMaxShards)) {
         Usage(argv[0]);
       }
       args.shards = static_cast<uint32_t>(n);
@@ -111,8 +111,6 @@ DiskStoreOptions EngineOptions(const ServingArgs& args,
   DiskStoreOptions options;
   options.shard_count = args.shards;
   options.group_commit = true;
-  options.commit_batch_max = 64;
-  options.commit_delay_us = 200;
   options.background_compaction = true;
   options.cache_bytes = 8ULL << 20;
   options.metrics = metrics;
@@ -348,9 +346,11 @@ int Main(int argc, char** argv) {
   PrintHeader("PAST serving path: open-loop load sweep (sharded group-commit engine)",
               "a storage utility must sustain heavy serving traffic; ops/sec "
               "is meaningful only at a latency SLO");
-  std::printf("engine: %u shards, group commit (batch<=64, window 200us), "
-              "background compaction, 8 MiB cache; %d serving threads\n",
-              args.shards, args.threads);
+  std::printf("engine: %u shards, group commit (batch<=%" PRIu64
+              ", window %" PRId64 "us), background compaction, 8 MiB cache;"
+              " %d serving threads\n",
+              args.shards, ShardedDiskStore::kCommitBatchMax,
+              ShardedDiskStore::kCommitDelayUs, args.threads);
 
   std::vector<double> rates;
   if (args.rate > 0.0) {

@@ -60,20 +60,16 @@ struct DiskStoreOptions {
   // These ride in DiskStoreOptions so PastConfig.disk and DiskBackend::Open
   // plumb them without new surface. A plain DiskStore ignores them.
   //
-  // Number of independent segment-log shards keyed by fileId. 1 (default)
-  // keeps the legacy single-log layout: segment files directly in the store
-  // directory, byte-identical to a plain DiskStore.
+  // Number of independent segment-log shards keyed by fileId, 1..64, fixed
+  // when the directory is created. 1 (default) keeps the single-log layout:
+  // segment files directly in the store directory, byte-identical to a
+  // plain DiskStore.
   uint32_t shard_count = 1;
   // Group commit: concurrent appends coalesce into one batched fsync per
   // shard (a dedicated committer thread per shard drains a commit queue).
   // Every Put/Remove is durable when it returns — sync_every=1 semantics at
   // per-batch instead of per-insert fsync cost. Overrides sync_every.
   bool group_commit = false;
-  // Upper bound on appends folded into one fsync batch.
-  uint32_t commit_batch_max = 64;
-  // How long the committer waits for more appends to join a batch before
-  // fsyncing what it has. 0 = commit whatever is pending immediately.
-  uint32_t commit_delay_us = 100;
   // Move threshold compaction off the serving thread onto a background
   // worker with shard-granular handoff (implies inline_compaction = false
   // for the shards).
@@ -132,7 +128,6 @@ class DiskStore {
     uint64_t torn_tails = 0;        // torn tails truncated by Open()
   };
   const Stats& stats() const { return stats_; }
-  const std::string& dir() const { return dir_; }
 
  private:
   struct IndexEntry {

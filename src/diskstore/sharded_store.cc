@@ -1,39 +1,12 @@
 #include "src/diskstore/sharded_store.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "src/common/check.h"
 #include "src/common/crc32c.h"
 #include "src/diskstore/log_format.h"
 
 namespace past {
-
-namespace {
-
-constexpr char kMigrateToPrefix[] = "migrate-to-";
-constexpr char kMigrateDonePrefix[] = "migrate-done-";
-
-// Parses "<prefix><decimal count>" marker names; 0 when it does not match.
-uint32_t ParseMarker(const std::string& name, const char* prefix) {
-  const size_t len = std::char_traits<char>::length(prefix);
-  if (name.compare(0, len, prefix) != 0 || name.size() == len) {
-    return 0;
-  }
-  uint32_t value = 0;
-  for (size_t i = len; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return 0;
-    }
-    value = value * 10 + static_cast<uint32_t>(name[i] - '0');
-    if (value > ShardedDiskStore::kMaxShards) {
-      return 0;
-    }
-  }
-  return value;
-}
-
-}  // namespace
 
 uint32_t ShardedDiskStore::ShardIndex(const U160& key, uint32_t shard_count) {
   if (shard_count <= 1) {
@@ -52,15 +25,6 @@ ShardedDiskStore::ShardedDiskStore(std::string dir,
       options_(options),
       env_(options.env != nullptr ? options.env : Env::Default()),
       concurrent_(options.group_commit || options.background_compaction) {
-  if (options_.shard_count < 1) {
-    options_.shard_count = 1;
-  }
-  if (options_.shard_count > kMaxShards) {
-    options_.shard_count = kMaxShards;
-  }
-  if (options_.commit_batch_max == 0) {
-    options_.commit_batch_max = 1;
-  }
   options_.env = env_;
 
   shard_options_ = options_;
@@ -117,6 +81,9 @@ ShardedDiskStore::~ShardedDiskStore() {
 
 Result<std::unique_ptr<ShardedDiskStore>> ShardedDiskStore::Open(
     const std::string& dir, const DiskStoreOptions& options) {
+  if (options.shard_count < 1 || options.shard_count > kMaxShards) {
+    return StatusCode::kInvalidArgument;
+  }
   std::unique_ptr<ShardedDiskStore> store(new ShardedDiskStore(dir, options));
   StatusCode status = store->OpenShards();
   if (status != StatusCode::kOk) {
@@ -132,212 +99,34 @@ std::string ShardedDiskStore::ShardDir(uint32_t count, uint32_t index) const {
   return dir_ + "/shard-" + std::to_string(count) + "-" + std::to_string(index);
 }
 
-std::string ShardedDiskStore::MarkerPath(const char* kind,
-                                         uint32_t count) const {
-  return dir_ + "/migrate-" + kind + "-" + std::to_string(count);
-}
-
-bool ShardedDiskStore::DirHasSegments(const std::string& dir) const {
-  std::vector<std::string> names;
-  if (env_->ListDir(dir, &names) != StatusCode::kOk) {
-    return false;
-  }
-  uint64_t seq = 0;
-  for (const std::string& name : names) {
-    if (ParseSegmentFileName(name, &seq)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-StatusCode ShardedDiskStore::DeleteLayoutFiles(uint32_t count) {
-  if (count == 1) {
-    std::vector<std::string> names;
-    StatusCode status = env_->ListDir(dir_, &names);
-    if (status != StatusCode::kOk) {
-      return status;
-    }
-    uint64_t seq = 0;
-    for (const std::string& name : names) {
-      if (ParseSegmentFileName(name, &seq)) {
-        IgnoreStatus(env_->RemoveFile(dir_ + "/" + name));
-      }
-    }
-    return StatusCode::kOk;
-  }
-  for (uint32_t i = 0; i < count; ++i) {
-    std::vector<std::string> names;
-    if (env_->ListDir(ShardDir(count, i), &names) != StatusCode::kOk) {
-      continue;  // dir never created (or already gone)
-    }
-    uint64_t seq = 0;
-    for (const std::string& name : names) {
-      if (ParseSegmentFileName(name, &seq)) {
-        IgnoreStatus(env_->RemoveFile(ShardDir(count, i) + "/" + name));
-      }
-    }
-  }
-  return StatusCode::kOk;
-}
-
-StatusCode ShardedDiskStore::WriteMarker(const std::string& path) {
-  std::unique_ptr<WritableFile> file;
-  StatusCode status = env_->NewWritableFile(path, &file);
-  if (status != StatusCode::kOk) {
-    return status;
-  }
-  status = file->Sync();
-  if (status == StatusCode::kOk) {
-    status = file->Close();
-  }
-  return status;
-}
-
-StatusCode ShardedDiskStore::CleanupCrashedMigration() {
+// A count-1 layout is segment files at the top level; a count-N layout is
+// the shard-N-* directories. Env::ListDir lists regular files only, so shard
+// directories are probed by name.
+StatusCode ShardedDiskStore::CheckLayout() {
   std::vector<std::string> names;
   StatusCode status = env_->ListDir(dir_, &names);
   if (status != StatusCode::kOk) {
     return status;
   }
-  uint32_t to = 0;
-  uint32_t done = 0;
+  uint32_t layouts = 0;
+  uint32_t existing = 0;
+  uint64_t seq = 0;
   for (const std::string& name : names) {
-    if (uint32_t t = ParseMarker(name, kMigrateToPrefix); t != 0) {
-      to = t;
+    if (ParseSegmentFileName(name, &seq)) {
+      layouts = 1;
+      existing = 1;
+      break;
     }
-    if (uint32_t d = ParseMarker(name, kMigrateDonePrefix); d != 0) {
-      done = d;
-    }
-  }
-  if (done != 0) {
-    // The "done" marker means the target layout is complete and durable; a
-    // crash interrupted the source teardown. Finish it: drop every other
-    // layout, then both markers.
-    for (uint32_t c = 1; c <= kMaxShards; ++c) {
-      if (c == done) {
-        continue;
-      }
-      if (c > 1 && !env_->FileExists(ShardDir(c, 0))) {
-        continue;
-      }
-      status = DeleteLayoutFiles(c);
-      if (status != StatusCode::kOk) {
-        return status;
-      }
-    }
-    if (to != 0) {
-      IgnoreStatus(env_->RemoveFile(MarkerPath("to", to)));
-    }
-    IgnoreStatus(env_->RemoveFile(MarkerPath("done", done)));
-    return StatusCode::kOk;
-  }
-  if (to != 0) {
-    // Crash mid-rewrite: the target is a partial copy, the source is still
-    // whole. Drop the partial target and pretend the migration never began.
-    status = DeleteLayoutFiles(to);
-    if (status != StatusCode::kOk) {
-      return status;
-    }
-    IgnoreStatus(env_->RemoveFile(MarkerPath("to", to)));
-  }
-  return StatusCode::kOk;
-}
-
-Result<uint32_t> ShardedDiskStore::DetectExistingLayout() {
-  if (DirHasSegments(dir_)) {
-    return uint32_t{1};
   }
   for (uint32_t c = 2; c <= kMaxShards; ++c) {
-    if (!env_->FileExists(ShardDir(c, 0))) {
-      continue;
-    }
-    for (uint32_t i = 0; i < c; ++i) {
-      if (DirHasSegments(ShardDir(c, i))) {
-        return c;
-      }
+    if (env_->FileExists(ShardDir(c, 0))) {
+      ++layouts;
+      existing = c;
     }
   }
-  return uint32_t{0};  // fresh directory
-}
-
-StatusCode ShardedDiskStore::MigrateLayout(uint32_t from, uint32_t to) {
-  // Marker first: until the rewrite completes, the target layout is dirty
-  // and a crash-recovery pass must discard it.
-  StatusCode status = WriteMarker(MarkerPath("to", to));
-  if (status != StatusCode::kOk) {
-    return status;
+  if (layouts > 1 || (layouts == 1 && existing != options_.shard_count)) {
+    return StatusCode::kInvalidArgument;
   }
-  DiskStoreOptions mopts = shard_options_;
-  mopts.metrics = nullptr;
-  mopts.sync_every = 0;
-  mopts.inline_compaction = false;
-
-  std::vector<std::unique_ptr<DiskStore>> sources;
-  for (uint32_t i = 0; i < from; ++i) {
-    const std::string sdir = from == 1 ? dir_ : ShardDir(from, i);
-    Result<std::unique_ptr<DiskStore>> opened = DiskStore::Open(sdir, mopts);
-    if (!opened.ok()) {
-      return opened.status();
-    }
-    sources.push_back(std::move(opened.value()));
-  }
-  std::vector<std::unique_ptr<DiskStore>> targets;
-  for (uint32_t i = 0; i < to; ++i) {
-    const std::string tdir = to == 1 ? dir_ : ShardDir(to, i);
-    Result<std::unique_ptr<DiskStore>> opened = DiskStore::Open(tdir, mopts);
-    if (!opened.ok()) {
-      return opened.status();
-    }
-    targets.push_back(std::move(opened.value()));
-  }
-
-  for (const auto& source : sources) {
-    for (const U160& key : source->Keys()) {
-      Result<Bytes> value = source->Get(key);
-      if (!value.ok()) {
-        return value.status();
-      }
-      status = targets[ShardIndex(key, to)]->Put(
-          key, ByteSpan(value.value().data(), value.value().size()));
-      if (status != StatusCode::kOk) {
-        return status;
-      }
-    }
-    for (const U160& key : source->PointerKeys()) {
-      Result<Bytes> value = source->GetPointer(key);
-      if (!value.ok()) {
-        return value.status();
-      }
-      status = targets[ShardIndex(key, to)]->PutPointer(
-          key, ByteSpan(value.value().data(), value.value().size()));
-      if (status != StatusCode::kOk) {
-        return status;
-      }
-    }
-  }
-  for (const auto& target : targets) {
-    status = target->Sync();
-    if (status != StatusCode::kOk) {
-      return status;
-    }
-  }
-  // Close everything before touching files underneath them.
-  targets.clear();
-  sources.clear();
-
-  // Commit point: once "done" is durable the target is the store. Only then
-  // is it safe to delete the source.
-  status = WriteMarker(MarkerPath("done", to));
-  if (status != StatusCode::kOk) {
-    return status;
-  }
-  IgnoreStatus(env_->RemoveFile(MarkerPath("to", to)));
-  status = DeleteLayoutFiles(from);
-  if (status != StatusCode::kOk) {
-    return status;
-  }
-  IgnoreStatus(env_->RemoveFile(MarkerPath("done", to)));
   return StatusCode::kOk;
 }
 
@@ -346,19 +135,9 @@ StatusCode ShardedDiskStore::OpenShards() {
   if (status != StatusCode::kOk) {
     return status;
   }
-  status = CleanupCrashedMigration();
+  status = CheckLayout();
   if (status != StatusCode::kOk) {
     return status;
-  }
-  Result<uint32_t> existing = DetectExistingLayout();
-  if (!existing.ok()) {
-    return existing.status();
-  }
-  if (existing.value() != 0 && existing.value() != options_.shard_count) {
-    status = MigrateLayout(existing.value(), options_.shard_count);
-    if (status != StatusCode::kOk) {
-      return status;
-    }
   }
   for (uint32_t i = 0; i < options_.shard_count; ++i) {
     const std::string sdir =
@@ -556,34 +335,6 @@ StatusCode ShardedDiskStore::Sync() {
   return first;
 }
 
-StatusCode ShardedDiskStore::Compact() {
-  StatusCode first = StatusCode::kOk;
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    if (shard->error != StatusCode::kOk) {
-      if (first == StatusCode::kOk) {
-        first = shard->error;
-      }
-      continue;
-    }
-    StatusCode status = shard->store->Compact();
-    if (status != StatusCode::kOk) {
-      shard->error = status;
-      shard->durable_cv.NotifyAll();
-      if (first == StatusCode::kOk) {
-        first = status;
-      }
-      continue;
-    }
-    if (options_.group_commit) {
-      // Compaction sealed and fsynced every live record.
-      shard->durable_seq = shard->appended_seq;
-      shard->durable_cv.NotifyAll();
-    }
-  }
-  return first;
-}
-
 ShardedDiskStore::Stats ShardedDiskStore::stats() const {
   Stats total;
   for (const auto& shard : shards_) {
@@ -622,12 +373,11 @@ void ShardedDiskStore::CommitterLoop(Shard* s) {
     if (s->appended_seq == s->durable_seq) {
       return;  // stop requested and fully drained
     }
-    if (options_.commit_delay_us > 0 && !s->stop &&
-        s->appended_seq - s->durable_seq < options_.commit_batch_max) {
+    if (!s->stop && s->appended_seq - s->durable_seq < kCommitBatchMax) {
       // Batching window: give concurrent appenders one bounded delay to
       // join this fsync. Appenders that arrive later simply ride the next
       // batch — correctness never depends on who makes the cut.
-      (void)s->work_cv.WaitFor(&s->mu, options_.commit_delay_us);
+      (void)s->work_cv.WaitFor(&s->mu, kCommitDelayUs);
     }
     const uint64_t batch_end = s->appended_seq;
     const uint64_t batch_size = batch_end - s->durable_seq;

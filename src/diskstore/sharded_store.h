@@ -4,24 +4,20 @@
 // cache.
 //
 // Sharding. Keys route to shard CRC32C(key) % shard_count — a fixed,
-// platform-stable function of the key bytes, so a directory always reopens
-// with the layout it was written under. shard_count == 1 keeps the legacy
-// layout (segment files directly in the store directory, byte-identical to
-// a plain DiskStore); shard_count == N > 1 nests shards in subdirectories
-// named "shard-<N>-<i>". The count is part of the name so layouts with
-// different counts never collide, which makes migration restartable:
-// opening a directory whose on-disk count differs from the requested one
-// rewrites every record into the new layout behind "migrate-to-<N>" /
-// "migrate-done-<N>" marker files (target dirty / target complete), so a
-// crash at any point either keeps the intact source or the completed
-// target, never neither.
+// platform-stable function of the key bytes. The shard count is fixed when
+// the directory is created: shard_count == 1 keeps segment files directly in
+// the store directory (byte-identical to a plain DiskStore); shard_count ==
+// N > 1 nests shards in subdirectories named "shard-<N>-<i>". Open detects
+// the layout already on disk and fails with kInvalidArgument, touching no
+// file, when its count differs from the requested one or when the directory
+// holds more than one layout. There is no migration between counts.
 //
 // Group commit (options.group_commit). Appends run under the shard mutex
 // with fsync disabled, then wait until the shard's committer thread has
 // fsynced a batch covering their sequence number. The committer coalesces
 // everything appended since the last fsync into one batch, waiting up to
-// commit_delay_us for more appenders to join while the batch is smaller
-// than commit_batch_max. Every Put/Remove is durable when it returns —
+// kCommitDelayUs for more appenders to join while the batch is smaller
+// than kCommitBatchMax. Every Put/Remove is durable when it returns —
 // sync_every=1 semantics at one fsync per batch instead of per append.
 //
 // Background compaction (options.background_compaction). Appends never
@@ -55,15 +51,20 @@ namespace past {
 
 class ShardedDiskStore {
  public:
-  // Directory-name space for shard layouts; shard_count is clamped to this.
+  // Valid shard counts are 1..kMaxShards; Open rejects any other.
   static constexpr uint32_t kMaxShards = 64;
+  // Group commit: at most this many appends share one fsync, and the
+  // committer holds a batch open at most this long for more to join.
+  static constexpr uint64_t kCommitBatchMax = 64;
+  static constexpr int64_t kCommitDelayUs = 200;
 
   // Routing function, exposed so tests can pin the on-disk contract.
   static uint32_t ShardIndex(const U160& key, uint32_t shard_count);
 
-  // Opens (creating, and if the on-disk layout has a different shard count,
-  // migrating) the store in `dir`, then starts the committer/compactor
-  // threads the options ask for.
+  // Opens (creating if needed) the store in `dir`, then starts the
+  // committer/compactor threads the options ask for. Fails with
+  // kInvalidArgument when shard_count is outside 1..kMaxShards or does not
+  // match the layout already in `dir`.
   static Result<std::unique_ptr<ShardedDiskStore>> Open(
       const std::string& dir, const DiskStoreOptions& options);
   ~ShardedDiskStore();
@@ -89,8 +90,6 @@ class ShardedDiskStore {
 
   // Makes every acknowledged append durable, across all shards.
   StatusCode Sync();
-  // Compacts every shard unconditionally.
-  StatusCode Compact();
 
   using Stats = DiskStore::Stats;
   // Aggregated over the shards (by value: the shards keep mutating).
@@ -105,7 +104,6 @@ class ShardedDiskStore {
 
   uint32_t shard_count() const { return options_.shard_count; }
   const BlockCache* cache() const { return cache_.get(); }
-  const std::string& dir() const { return dir_; }
 
  private:
   struct Shard {
@@ -128,17 +126,10 @@ class ShardedDiskStore {
   ShardedDiskStore(std::string dir, const DiskStoreOptions& options);
 
   std::string ShardDir(uint32_t count, uint32_t index) const;
-  std::string MarkerPath(const char* kind, uint32_t count) const;
 
-  // Layout discovery / migration (all single-threaded, called from Open
-  // before any worker thread exists).
+  // Single-threaded, called from Open before any worker thread exists.
+  StatusCode CheckLayout();
   StatusCode OpenShards();
-  Result<uint32_t> DetectExistingLayout();
-  StatusCode CleanupCrashedMigration();
-  StatusCode MigrateLayout(uint32_t from, uint32_t to);
-  StatusCode DeleteLayoutFiles(uint32_t count);
-  bool DirHasSegments(const std::string& dir) const;
-  StatusCode WriteMarker(const std::string& path);
   void StartThreads();
 
   // Shared Put/Remove/pointer path: runs `fn` on the shard's store under its
@@ -152,7 +143,7 @@ class ShardedDiskStore {
   void CompactorLoop();
 
   const std::string dir_;
-  DiskStoreOptions options_;    // normalized (clamped counts, etc.)
+  DiskStoreOptions options_;    // env resolved to a non-null Env
   DiskStoreOptions shard_options_;  // what each shard's DiskStore gets
   Env* env_;
   const bool concurrent_;  // any worker thread (group commit / compaction)

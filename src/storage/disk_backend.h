@@ -7,10 +7,11 @@
 //
 // The engine is a ShardedDiskStore: with the default options (one shard, no
 // group commit, no background compaction) it behaves — and lays its files
-// out — exactly like the original single DiskStore, keeping existing state
-// directories and the deterministic sim paths untouched. The serving knobs
-// in DiskStoreOptions (shard_count, group_commit, background_compaction,
-// cache_bytes) switch on the concurrent machinery.
+// out — exactly like a single DiskStore, which keeps the deterministic sim
+// paths untouched. The serving knobs in DiskStoreOptions (group_commit,
+// background_compaction, cache_bytes) switch on the concurrent machinery.
+// shard_count is fixed when `dir` is created: Open fails with
+// kInvalidArgument when it does not match the layout already there.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,7 @@ class DiskBackend : public StoreBackend {
  public:
   // Opens (creating if needed) the engine in `dir`, replays its log, and
   // decodes the recovered values. Fails with kCorruption when a recovered
-  // value does not decode, or with whatever DiskStore::Open reports.
+  // value does not decode, or with whatever ShardedDiskStore::Open reports.
   static Result<std::unique_ptr<DiskBackend>> Open(
       const std::string& dir, const DiskStoreOptions& options);
 

@@ -191,8 +191,6 @@ DiskStoreOptions GroupCommitSweepOptions(Env* env) {
   options.compact_garbage_ratio = 0.5;
   options.shard_count = 2;
   options.group_commit = true;
-  options.commit_batch_max = 8;
-  options.commit_delay_us = 0;  // ack immediately; batching is not under test
   options.env = env;
   return options;
 }

@@ -54,7 +54,6 @@ class BackendParityTest : public ::testing::TestWithParam<std::string> {
     if (GetParam() == "disk4") {
       options.shard_count = 4;
       options.group_commit = true;
-      options.commit_delay_us = 100;
       options.background_compaction = true;
       options.cache_bytes = 1ULL << 20;
     }
@@ -212,7 +211,6 @@ TEST(DiskBackendReopenTest, ShardedEngineAccountingSurvivesReopen) {
   DiskStoreOptions options;
   options.shard_count = 4;
   options.group_commit = true;
-  options.commit_delay_us = 100;
   options.cache_bytes = 1ULL << 20;
   {
     auto backend = DiskBackend::Open(dir, options);
@@ -250,48 +248,30 @@ TEST(DiskBackendReopenTest, ShardedEngineAccountingSurvivesReopen) {
   EXPECT_EQ(store.Put(FileOfSize(100, 0)), StatusCode::kAlreadyExists);
 }
 
-// Upgrade path: a state dir written by the legacy single-log layout reopens
-// under the sharded engine (migrating the segments into shard directories)
-// with every replica, pointer, and byte of accounting intact — and migrates
-// back down to a single log just as losslessly.
-TEST(DiskBackendReopenTest, LegacyStateDirUpgradesToShardedLayout) {
+// The shard count is fixed when a state dir is created: a DiskBackend
+// reopened at another count fails through the StoreBackend seam instead of
+// serving a store with half its replicas missing, and the dir still reopens
+// with every replica at the count it was written with.
+TEST(DiskBackendReopenTest, MismatchedShardCountIsRejected) {
   TempDir tmp;
   const std::string dir = tmp.Sub("db");
   {
-    auto backend = DiskBackend::Open(dir, {});  // legacy defaults
+    auto backend = DiskBackend::Open(dir, {});
     ASSERT_TRUE(backend.ok());
     FileStore store(10000, std::move(backend).value());
     for (uint64_t tag = 0; tag < 10; ++tag) {
-      StoredFile f = FileOfSize(50 + tag, tag);
-      f.content = ToBytes("v" + std::to_string(tag));
-      ASSERT_EQ(store.Put(std::move(f)), StatusCode::kOk);
+      ASSERT_EQ(store.Put(FileOfSize(50 + tag, tag)), StatusCode::kOk);
     }
-    ASSERT_EQ(store.PutPointer(CertOfSize(0, 99).file_id,
-                               NodeDescriptor{U128(7, 8), 42}),
-              StatusCode::kOk);
     ASSERT_EQ(store.Sync(), StatusCode::kOk);
   }
-  uint64_t expected_used = 0;
-  for (uint64_t tag = 0; tag < 10; ++tag) {
-    expected_used += 50 + tag;
-  }
-  for (uint32_t shard_count : {4u, 1u}) {
-    SCOPED_TRACE("shard count " + std::to_string(shard_count));
-    DiskStoreOptions options;
-    options.shard_count = shard_count;
-    auto backend = DiskBackend::Open(dir, options);
-    ASSERT_TRUE(backend.ok()) << StatusCodeName(backend.status());
-    FileStore store(10000, std::move(backend).value());
-    EXPECT_EQ(store.file_count(), 10u);
-    EXPECT_EQ(store.used(), expected_used);
-    for (uint64_t tag = 0; tag < 10; ++tag) {
-      const StoredFile* got = store.Get(CertOfSize(0, tag).file_id);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->content, ToBytes("v" + std::to_string(tag)));
-    }
-    EXPECT_EQ(store.GetPointer(CertOfSize(0, 99).file_id)->addr, 42u);
-    ASSERT_EQ(store.Sync(), StatusCode::kOk);
-  }
+  DiskStoreOptions sharded;
+  sharded.shard_count = 4;
+  auto rejected = DiskBackend::Open(dir, sharded);
+  EXPECT_EQ(rejected.status(), StatusCode::kInvalidArgument);
+
+  auto backend = DiskBackend::Open(dir, {});
+  ASSERT_TRUE(backend.ok()) << StatusCodeName(backend.status());
+  EXPECT_EQ(backend.value()->file_count(), 10u);
 }
 
 }  // namespace
