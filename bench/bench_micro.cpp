@@ -11,6 +11,7 @@
 //                   in seconds
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +46,9 @@
 #include "src/sim/network.h"
 #include "src/sim/topology.h"
 #include "src/storage/cache.h"
+#include "src/storage/file_store.h"
+#include "src/storage/messages.h"
+#include "src/storage/smartcard.h"
 #include "src/storage/verify_cache.h"
 
 namespace past {
@@ -602,6 +606,70 @@ void BM_NetLoopback(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetLoopback)->Arg(1200)->Arg(16384)->Unit(benchmark::kMicrosecond);
+
+// One replica's content path, end to end within a process: the root encodes
+// StoreReplica and wraps it as a direct message, the wire is framed, the
+// replica's FrameReader reads it (the copy stands in for the kernel's into
+// the read buffer), the Pastry envelope decodes into its one owning copy,
+// StoreReplica decodes by slicing, and the replica is handed to a FileStore
+// by reference. Certificate and SHA-256 checks are left out, so the row
+// times the codec, CRC32C and copies alone.
+void BM_StoreReplicaPath(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  BrokerOptions broker_options;
+  broker_options.modulus_pool = 1;
+  Broker broker(41, broker_options);
+  std::unique_ptr<Smartcard> card =
+      std::move(broker.IssueCard(1ull << 40, 1ull << 40)).value();
+  Rng rng(33);
+  const Bytes content = rng.RandomBytes(size);
+  auto digest = Sha256::Hash(ByteSpan(content.data(), content.size()));
+  StoreReplicaPayload replica;
+  replica.cert = std::move(card->IssueFileCertificate(
+                               "bench", size, ByteSpan(digest.data(), digest.size()),
+                               3, 1, 0))
+                     .value();
+  replica.content = SharedBytes::Copy(content);
+  const NodeDescriptor root{U128(1, 2), 7};
+  replica.client = root;
+  FileStore store(1ull << 40);
+  FrameReader reader(64u << 20);
+  for (auto _ : state) {
+    const Bytes payload = replica.Encode();
+    const Bytes wire = EncodeAppDirect(root, static_cast<uint32_t>(PastOp::kStoreReplica),
+                                       payload);
+    uint8_t header[kFrameHeaderSize];
+    EncodeFrameHeader(7, 9, wire, header);
+    for (ByteSpan part : {ByteSpan(header, kFrameHeaderSize), ByteSpan(wire)}) {
+      while (!part.empty()) {
+        std::span<uint8_t> target = reader.ReadTarget();
+        const size_t n = std::min(target.size(), part.size());
+        std::memcpy(target.data(), part.data(), n);
+        reader.Commit(n);
+        part = part.subspan(n);
+      }
+    }
+    FrameHeader fh;
+    Bytes frame;
+    PAST_CHECK_MSG(reader.Next(&fh, &frame) == FrameError::kNone, "frame lost");
+    Reader r(frame);
+    PastryMsgType type;
+    AppDirectMsg msg;
+    PAST_CHECK_MSG(DecodeHeader(&r, &type) && DecodeBodyStrict(&r, &msg),
+                   "direct message decode failed");
+    StoreReplicaPayload req;
+    PAST_CHECK_MSG(StoreReplicaPayload::Decode(msg.payload, &req), "payload decode failed");
+    StoredFile file;
+    file.cert = req.cert;
+    file.content = req.content;
+    benchmark::DoNotOptimize(file.content.data());
+    PAST_CHECK_MSG(store.Put(std::move(file)) == StatusCode::kOk, "store put failed");
+    PAST_CHECK_MSG(store.Remove(req.cert.file_id).has_value(), "store remove failed");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+BENCHMARK(BM_StoreReplicaPath)->Arg(64 << 10)->Arg(1 << 20)->Unit(benchmark::kMicrosecond);
 
 // --- observability primitives -----------------------------------------------
 // The tracing and quantile instruments sit on every client-op and hop path;

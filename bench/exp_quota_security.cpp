@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                                              3, 1, 0);
   InsertRequestPayload forged_insert;
   forged_insert.cert = bad_cert.value();
-  forged_insert.content = content;
+  forged_insert.content = SharedBytes::Copy(content);
   forged_insert.client = net.node(5)->overlay()->descriptor();
   net.node(5)->overlay()->Route(bad_cert.value().file_id.Top128(),
                                 static_cast<uint32_t>(PastOp::kInsertRequest),

@@ -358,7 +358,7 @@ class ExpTrace {
 // Records deliveries for routing experiments.
 struct ExpApp : public PastryApp {
   std::vector<DeliverContext> delivered;
-  void Deliver(const DeliverContext& ctx, ByteSpan) override {
+  void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
     delivered.push_back(ctx);
   }
 };

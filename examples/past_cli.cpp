@@ -125,7 +125,8 @@ void PrintUsage() {
       "  --trace FILE  replay this trace file instead of generating one\n"
       "  --cache P     cache policy: gds | lru | none (default gds)\n"
       "  --state-dir D durable per-node stores under D; a rerun with the same\n"
-      "                directory and seed recovers them from disk\n");
+      "                directory and seed recovers them from disk (exit 1 if\n"
+      "                any node's store cannot be opened)\n");
 }
 
 // --- real-cluster daemon --------------------------------------------------------
@@ -417,6 +418,13 @@ int RunDaemon(int argc, char** argv) {
   past.state_dir = opt.state_dir;
   past.request_timeout = 10 * kMicrosPerSecond;
   PastNode node(&overlay, std::move(card).value(), past, opt.node_seed ^ 0x5eed);
+  if (node.store_status() != StatusCode::kOk) {
+    // Serving without the durable store would hand out receipts for
+    // replicas that live only in RAM.
+    std::fprintf(stderr, "daemon: cannot open the durable store under %s: %s\n",
+                 opt.state_dir.c_str(), StatusCodeName(node.store_status()));
+    return 1;
+  }
 
   if (opt.join.empty()) {
     overlay.Bootstrap();
@@ -546,6 +554,12 @@ int main(int argc, char** argv) {
     // rerun reopens the previous run's logs and starts with its files.
     size_t recovered_files = 0, recovered_nodes = 0;
     for (size_t i = 0; i < net.size(); ++i) {
+      if (StatusCode status = net.node(i)->store_status(); status != StatusCode::kOk) {
+        std::fprintf(stderr, "state: cannot open the durable store of node %s under %s: %s\n",
+                     net.node(i)->overlay()->id().ToHex().c_str(), cli.state_dir.c_str(),
+                     StatusCodeName(status));
+        return 1;
+      }
       const size_t n = net.node(i)->store().file_count();
       recovered_files += n;
       recovered_nodes += n > 0 ? 1 : 0;

@@ -142,7 +142,7 @@ bool Reader::Id160(U160* v) {
   return true;
 }
 
-bool Reader::Blob(Bytes* out) {
+bool Reader::BlobView(ByteSpan* out) {
   uint32_t len;
   if (!U32(&len)) {
     return false;
@@ -151,16 +151,35 @@ bool Reader::Blob(Bytes* out) {
   if (!Take(len, &p)) {
     return false;
   }
-  out->assign(p, p + len);
+  *out = ByteSpan(p, len);
+  return true;
+}
+
+bool Reader::Blob(Bytes* out) {
+  ByteSpan view;
+  if (!BlobView(&view)) {
+    return false;
+  }
+  out->assign(view.begin(), view.end());
+  return true;
+}
+
+bool Reader::Blob(SharedBytes* out) {
+  PAST_CHECK_MSG(owner_ != nullptr, "Blob(SharedBytes*) needs a SharedBytes reader");
+  ByteSpan view;
+  if (!BlobView(&view)) {
+    return false;
+  }
+  *out = owner_->Slice(static_cast<size_t>(view.data() - data_.data()), view.size());
   return true;
 }
 
 bool Reader::Str(std::string* out) {
-  Bytes raw;
-  if (!Blob(&raw)) {
+  ByteSpan view;
+  if (!BlobView(&view)) {
     return false;
   }
-  out->assign(raw.begin(), raw.end());
+  out->assign(view.begin(), view.end());
   return true;
 }
 

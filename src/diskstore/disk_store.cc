@@ -250,7 +250,7 @@ StatusCode DiskStore::SealActiveSegment() {
   return status;
 }
 
-StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
+StatusCode DiskStore::Append(RecordType type, const U160& key, ValuePieces value) {
   if (active_size_ >= options_.segment_target_bytes) {
     StatusCode status = SealActiveSegment();
     if (status != StatusCode::kOk) {
@@ -265,7 +265,8 @@ StatusCode DiskStore::Append(RecordType type, const U160& key, ByteSpan value) {
   IndexEntry entry;
   entry.seg = segment_seqs_.back();
   entry.value_offset = active_size_ + kRecordPrefixSize + kRecordBodyMinSize;
-  entry.value_len = static_cast<uint32_t>(value.size());
+  entry.value_len =
+      static_cast<uint32_t>(record.size() - kRecordPrefixSize - kRecordBodyMinSize);
   entry.record_len = static_cast<uint32_t>(record.size());
   StatusCode status;
   {
@@ -368,13 +369,19 @@ StatusCode DiskStore::Compact() {
                             {&pointers_, &new_pointers, RecordType::kPointerPut}};
   for (const Rewrite& pass : passes) {
     for (const auto& [key, old_entry] : *pass.from) {
-      Result<Bytes> value = ReadValue(*pass.from, key);
-      if (!value.ok()) {
-        return value.status();
+      // A live record re-encodes to exactly its old bytes (same type, key
+      // and value), so it is copied verbatim once its CRC checks out.
+      Bytes record;
+      status = env_->ReadRange(
+          SegmentPath(old_entry.seg),
+          old_entry.value_offset - kRecordPrefixSize - kRecordBodyMinSize,
+          old_entry.record_len, &record);
+      if (status != StatusCode::kOk) {
+        return status;
       }
-      Bytes record =
-          EncodeRecord(pass.type, key, ByteSpan(value.value().data(),
-                                                value.value().size()));
+      if (!RecordCrcMatches(record)) {
+        return StatusCode::kCorruption;
+      }
       status = out->Append(ByteSpan(record.data(), record.size()));
       if (status != StatusCode::kOk) {
         return status;
@@ -453,10 +460,10 @@ StatusCode DiskStore::RemoveFrom(Index* index, RecordType type, const U160& key)
   if (index->count(key) == 0) {
     return StatusCode::kNotFound;
   }
-  return Append(type, key, {});
+  return Append(type, key, ValuePieces());
 }
 
-StatusCode DiskStore::Put(const U160& key, ByteSpan value) {
+StatusCode DiskStore::Put(const U160& key, ValuePieces value) {
   return Append(RecordType::kPut, key, value);
 }
 
@@ -469,7 +476,7 @@ Result<Bytes> DiskStore::Get(const U160& key) const {
 }
 
 StatusCode DiskStore::PutPointer(const U160& key, ByteSpan value) {
-  return Append(RecordType::kPointerPut, key, value);
+  return Append(RecordType::kPointerPut, key, ValuePieces(&value, 1));
 }
 
 StatusCode DiskStore::RemovePointer(const U160& key) {

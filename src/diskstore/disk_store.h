@@ -91,7 +91,11 @@ class DiskStore {
   DiskStore& operator=(const DiskStore&) = delete;
 
   // --- file keyspace. Put overwrites (last write wins). -----------------------
-  StatusCode Put(const U160& key, ByteSpan value);
+  // The value is the concatenation of its pieces (log_format.h).
+  StatusCode Put(const U160& key, ValuePieces value);
+  StatusCode Put(const U160& key, ByteSpan value) {
+    return Put(key, ValuePieces(&value, 1));
+  }
   StatusCode Remove(const U160& key);  // kNotFound when absent
   bool Has(const U160& key) const { return files_.count(key) > 0; }
   Result<Bytes> Get(const U160& key) const;
@@ -145,7 +149,7 @@ class DiskStore {
   // Applies one parsed record to the index and the live/garbage accounting.
   void ApplyRecord(const Record& record, const IndexEntry& entry);
 
-  StatusCode Append(RecordType type, const U160& key, ByteSpan value);
+  StatusCode Append(RecordType type, const U160& key, ValuePieces value);
   StatusCode OpenActiveSegment(uint64_t seq, uint64_t existing_size);
   StatusCode SealActiveSegment();
   StatusCode MaybeCompact();

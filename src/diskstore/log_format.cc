@@ -79,21 +79,35 @@ bool DecodeSegmentHeader(ByteSpan data, uint64_t* seq) {
   return true;
 }
 
-Bytes EncodeRecord(RecordType type, const U160& key, ByteSpan value) {
-  const uint32_t len = static_cast<uint32_t>(kRecordBodyMinSize + value.size());
+Bytes EncodeRecord(RecordType type, const U160& key, ValuePieces value) {
+  size_t value_size = 0;
+  for (ByteSpan piece : value) {
+    value_size += piece.size();
+  }
+  const uint32_t len = static_cast<uint32_t>(kRecordBodyMinSize + value_size);
   Bytes out;
   out.reserve(kRecordPrefixSize + len);
   PutU32(&out, 0);  // crc placeholder
   PutU32(&out, len);
   out.push_back(static_cast<uint8_t>(type));
   out.insert(out.end(), key.bytes().begin(), key.bytes().end());
-  out.insert(out.end(), value.begin(), value.end());
+  for (ByteSpan piece : value) {
+    out.insert(out.end(), piece.begin(), piece.end());
+  }
   const uint32_t crc = Crc32c(ByteSpan(out.data() + kRecordPrefixSize, len));
   out[0] = static_cast<uint8_t>(crc);
   out[1] = static_cast<uint8_t>(crc >> 8);
   out[2] = static_cast<uint8_t>(crc >> 16);
   out[3] = static_cast<uint8_t>(crc >> 24);
   return out;
+}
+
+bool RecordCrcMatches(ByteSpan record) {
+  if (record.size() < kRecordPrefixSize + kRecordBodyMinSize ||
+      GetU32(record.data() + 4) != record.size() - kRecordPrefixSize) {
+    return false;
+  }
+  return Crc32c(record.subspan(kRecordPrefixSize)) == GetU32(record.data());
 }
 
 ParseStatus ParseRecord(ByteSpan buf, size_t* offset, Record* out) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -61,8 +62,23 @@ std::string SegmentFileName(uint64_t seq);
 Bytes EncodeSegmentHeader(uint64_t seq);
 [[nodiscard]] bool DecodeSegmentHeader(ByteSpan data, uint64_t* seq);
 
-// The full on-disk encoding of one record (prefix + body).
-Bytes EncodeRecord(RecordType type, const U160& key, ByteSpan value);
+// A record value given as consecutive pieces and stored as their
+// concatenation: a serialized StoredFile is (certificate and content length,
+// content, trailer), so the content is never staged in a value buffer of
+// its own before the record is built.
+using ValuePieces = std::span<const ByteSpan>;
+
+// The full on-disk encoding of one record (prefix + body), written in one
+// pass into a buffer sized once: each value byte is copied exactly once.
+Bytes EncodeRecord(RecordType type, const U160& key, ValuePieces value);
+inline Bytes EncodeRecord(RecordType type, const U160& key, ByteSpan value) {
+  return EncodeRecord(type, key, ValuePieces(&value, 1));
+}
+
+// True when `record` (prefix + body, as on disk) has a consistent length and
+// its CRC matches its body; compaction checks this before copying a record
+// verbatim.
+[[nodiscard]] bool RecordCrcMatches(ByteSpan record);
 
 enum class [[nodiscard]] ParseStatus {
   kOk,         // *out holds the record, *offset advanced past it

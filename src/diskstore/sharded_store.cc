@@ -213,7 +213,7 @@ void ShardedDiskStore::MaybeScheduleCompaction(size_t idx, Shard* s) {
   compact_cv_.NotifyOne();
 }
 
-StatusCode ShardedDiskStore::Put(const U160& key, ByteSpan value) {
+StatusCode ShardedDiskStore::Put(const U160& key, ValuePieces value) {
   return Mutate(key,
                 [&](DiskStore* store) { return store->Put(key, value); });
 }

@@ -73,7 +73,10 @@ class ShardedDiskStore {
   ShardedDiskStore& operator=(const ShardedDiskStore&) = delete;
 
   // --- file keyspace (same contract as DiskStore) -----------------------------
-  StatusCode Put(const U160& key, ByteSpan value);
+  StatusCode Put(const U160& key, ValuePieces value);
+  StatusCode Put(const U160& key, ByteSpan value) {
+    return Put(key, ValuePieces(&value, 1));
+  }
   StatusCode Remove(const U160& key);
   bool Has(const U160& key) const;
   Result<Bytes> Get(const U160& key) const;

@@ -1,5 +1,6 @@
 #include "src/net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/crc32c.h"
@@ -120,24 +121,100 @@ FrameError DecodeFrame(ByteSpan data, size_t max_payload, FrameHeader* header,
   return FrameError::kNone;
 }
 
+namespace {
+
+// Staging capacity: one socket read's worth of headers and small frames.
+constexpr size_t kStagingBytes = 64u << 10;
+// A large frame's buffer grows by at most this much per read, so a hostile
+// header claiming a huge payload cannot make the reader touch (zero) memory
+// ahead of the bytes actually arriving.
+constexpr size_t kBodyGrowStep = 256u << 10;
+
+}  // namespace
+
+bool FrameReader::FillingBody() const {
+  return in_body_ && body_filled_ < body_header_.payload_len;
+}
+
+std::span<uint8_t> FrameReader::ReadTarget() {
+  // Once a large frame's body is complete, later bytes (the frames after
+  // it) go to staging, which is empty while a body is being received.
+  if (FillingBody()) {
+    if (body_.size() == body_filled_) {
+      body_.resize(std::min<size_t>(body_header_.payload_len,
+                                    body_filled_ + kBodyGrowStep));
+    }
+    return std::span<uint8_t>(body_.data() + body_filled_, body_.size() - body_filled_);
+  }
+  if (staging_ == nullptr) {
+    staging_ = std::make_unique_for_overwrite<uint8_t[]>(kStagingBytes);
+    staging_size_ = kStagingBytes;
+  }
+  if (end_ == staging_size_) {
+    if (pos_ > 0) {
+      // Move the unconsumed tail (at most a header and a small frame) down.
+      std::memmove(staging_.get(), staging_.get() + pos_, end_ - pos_);
+      end_ -= pos_;
+      pos_ = 0;
+    } else {
+      // Only Append() of many whole frames before any Next() gets here.
+      auto bigger = std::make_unique_for_overwrite<uint8_t[]>(2 * staging_size_);
+      std::memcpy(bigger.get(), staging_.get(), end_);
+      staging_ = std::move(bigger);
+      staging_size_ *= 2;
+    }
+  }
+  size_t room = staging_size_ - end_;
+  if (expect_large_ && end_ - pos_ < kFrameHeaderSize) {
+    // After a large frame the next one is likely large too: read just its
+    // header, so its body goes straight into its own buffer, not staging.
+    room = std::min(room, pos_ + kFrameHeaderSize - end_);
+  }
+  return std::span<uint8_t>(staging_.get() + end_, room);
+}
+
+void FrameReader::Commit(size_t n) {
+  if (FillingBody()) {
+    body_filled_ += n;
+  } else {
+    end_ += n;
+  }
+}
+
 void FrameReader::Append(ByteSpan data) {
-  if (failed() || data.empty()) {
+  if (failed()) {
     return;
   }
-  // Compact lazily: move the unconsumed tail down only once the dead prefix
-  // dominates the buffer, so steady-state appends are O(bytes appended).
-  if (pos_ > 4096 && pos_ > buf_.size() / 2) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(pos_));
-    pos_ = 0;
+  while (!data.empty()) {
+    std::span<uint8_t> target = ReadTarget();
+    const size_t n = std::min(target.size(), data.size());
+    std::memcpy(target.data(), data.data(), n);
+    Commit(n);
+    data = data.subspan(n);
   }
-  buf_.insert(buf_.end(), data.data(), data.data() + data.size());
 }
 
 FrameError FrameReader::Next(FrameHeader* header, Bytes* payload) {
   if (failed()) {
     return error_;
   }
-  ByteSpan avail(buf_.data() + pos_, buf_.size() - pos_);
+  if (in_body_) {
+    if (body_filled_ < body_header_.payload_len) {
+      return FrameError::kNeedMore;
+    }
+    if (Crc32c(body_) != body_header_.payload_crc) {
+      error_ = FrameError::kBadCrc;
+      return error_;
+    }
+    *header = body_header_;
+    *payload = std::move(body_);
+    body_ = Bytes();
+    body_filled_ = 0;
+    in_body_ = false;
+    expect_large_ = true;
+    return FrameError::kNone;
+  }
+  ByteSpan avail(staging_.get() + pos_, end_ - pos_);
   FrameHeader h;
   FrameError err = DecodeFrameHeader(avail, max_payload_, &h);
   if (err == FrameError::kNeedMore) {
@@ -147,20 +224,32 @@ FrameError FrameReader::Next(FrameHeader* header, Bytes* payload) {
     error_ = err;  // poisoned: a length-prefixed stream cannot resync
     return err;
   }
-  if (avail.size() < kFrameHeaderSize + h.payload_len) {
+  const ByteSpan staged = avail.subspan(kFrameHeaderSize);
+  if (staged.size() < h.payload_len) {
+    if (h.payload_len > kDirectBodyMin) {
+      // Give the frame its own buffer; the rest of it is read straight in.
+      body_header_ = h;
+      body_.reserve(h.payload_len);
+      body_.assign(staged.begin(), staged.end());
+      body_filled_ = staged.size();
+      in_body_ = true;
+      pos_ = 0;
+      end_ = 0;
+    }
     return FrameError::kNeedMore;
   }
-  ByteSpan body(avail.data() + kFrameHeaderSize, h.payload_len);
+  ByteSpan body = staged.first(h.payload_len);
   if (Crc32c(body) != h.payload_crc) {
     error_ = FrameError::kBadCrc;
     return error_;
   }
-  payload->assign(body.data(), body.data() + body.size());
+  payload->assign(body.begin(), body.end());
   *header = h;
+  expect_large_ = h.payload_len > kDirectBodyMin;
   pos_ += kFrameHeaderSize + h.payload_len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
+  if (pos_ == end_) {
     pos_ = 0;
+    end_ = 0;
   }
   return FrameError::kNone;
 }

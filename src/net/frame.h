@@ -25,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 
 #include "src/common/bytes.h"
 #include "src/net/transport.h"
@@ -74,14 +76,33 @@ Bytes EncodeFrame(NodeAddr from, NodeAddr to, ByteSpan payload);
 [[nodiscard]] FrameError DecodeFrame(ByteSpan data, size_t max_payload,
                                      FrameHeader* header, ByteSpan* payload);
 
-// Incremental frame extraction from a TCP byte stream. Append() buffers
-// received bytes; Next() yields complete frames in order. Any error other
-// than kNeedMore is sticky: the stream is unrecoverable and the connection
-// must be dropped.
+// Incremental frame extraction from a TCP byte stream. The socket reads
+// straight into the reader (ReadTarget/Commit); Next() yields complete
+// frames in order. Any error other than kNeedMore is sticky: the stream is
+// unrecoverable and the connection must be dropped.
+//
+// Copy budget. Headers and small frames land in a staging buffer and are
+// copied out when complete. A large frame (payload over kDirectBodyMin)
+// whose header has arrived gets a buffer of its own: the body bytes already
+// staged move into it, and every further read lands in it directly. After a
+// large frame, staging reads stop at the next header, so in a stream of
+// large frames no body byte passes through staging at all: the frame
+// reaches Next() without a copy of its body. Next() hands that buffer
+// over by move: the caller owns the frame it delivers, and the frame stays
+// valid even if delivery tears down the connection that owns the reader.
 class FrameReader {
  public:
+  // Frames with a payload up to this size are copied out of staging.
+  static constexpr size_t kDirectBodyMin = 16u << 10;
+
   explicit FrameReader(size_t max_payload) : max_payload_(max_payload) {}
 
+  // Where the next socket read should land: the unfilled part of the
+  // current large frame's own buffer, else free staging space. Never empty.
+  std::span<uint8_t> ReadTarget();
+  // Records that `n` bytes (at most ReadTarget().size()) were written there.
+  void Commit(size_t n);
+  // Copies `data` in through ReadTarget/Commit (tests and fuzzers).
   void Append(ByteSpan data);
 
   // kNone: *header/*payload filled with the next frame. kNeedMore: no
@@ -90,12 +111,26 @@ class FrameReader {
   [[nodiscard]] FrameError Next(FrameHeader* header, Bytes* payload);
 
   bool failed() const { return error_ != FrameError::kNone; }
-  size_t buffered() const { return buf_.size() - pos_; }
+  // Received bytes not yet returned by Next().
+  size_t buffered() const { return end_ - pos_ + body_filled_; }
 
  private:
+  bool FillingBody() const;
+
   size_t max_payload_;
-  Bytes buf_;
-  size_t pos_ = 0;  // consumed prefix of buf_
+  // Headers and small frames. Not zero-filled, so only the bytes reads
+  // actually land in take up resident memory.
+  std::unique_ptr<uint8_t[]> staging_;
+  size_t staging_size_ = 0;
+  size_t pos_ = 0;   // consumed prefix of staging_
+  size_t end_ = 0;   // filled prefix of staging_
+  // The large frame being received into its own buffer (in_body_).
+  bool in_body_ = false;
+  FrameHeader body_header_;
+  Bytes body_;              // grows toward payload_len as bytes arrive
+  size_t body_filled_ = 0;
+  // The last frame was large: read only a header into empty staging.
+  bool expect_large_ = false;
   FrameError error_ = FrameError::kNone;
 };
 

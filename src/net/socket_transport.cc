@@ -20,7 +20,6 @@ namespace {
 // a full 64 KB so a misconfigured sender is diagnosed by the decoder (with
 // a counted drop) instead of silently truncated by the kernel.
 constexpr size_t kUdpRecvBuf = 65536;
-constexpr size_t kTcpReadChunk = 65536;
 constexpr int kEphemeralPortAttempts = 32;
 
 }  // namespace
@@ -304,56 +303,57 @@ void SocketTransport::ReadUdp() {
 
 void SocketTransport::ReadConn(Conn* conn) {
   const int fd = conn->fd;
-  uint8_t buf[kTcpReadChunk];
-  bool eof = false;
   for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
+    // Read straight into the frame reader: a large frame's body lands in its
+    // own buffer, with no intermediate copy.
+    std::span<uint8_t> target = conn->reader.ReadTarget();
+    ssize_t n = ::read(fd, target.data(), target.size());
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        break;
+        return;
       }
       DropConn(fd);
       return;
     }
     if (n == 0) {
-      eof = true;
-      break;
+      // Every complete frame was delivered after the read that finished it.
+      DropConn(fd);
+      return;
     }
     obs_.bytes_rx->Inc(static_cast<uint64_t>(n));
-    conn->reader.Append(ByteSpan(buf, static_cast<size_t>(n)));
-  }
-  for (;;) {
-    FrameHeader header;
-    Bytes payload;
-    FrameError err = conn->reader.Next(&header, &payload);
-    if (err == FrameError::kNeedMore) {
-      break;
+    conn->reader.Commit(static_cast<size_t>(n));
+    for (;;) {
+      FrameHeader header;
+      // Owned here, not by the reader: delivery may drop this connection
+      // (and its reader) while protocol code still reads the frame.
+      Bytes payload;
+      FrameError err = conn->reader.Next(&header, &payload);
+      if (err == FrameError::kNeedMore) {
+        break;
+      }
+      if (err != FrameError::kNone) {
+        obs_.dropped_decode->Inc();
+        DropConn(fd);
+        return;
+      }
+      // Pin the connection to the first frame's sender identity; an
+      // in-stream identity change means a confused or hostile peer.
+      if (conn->peer == kInvalidAddr) {
+        conn->peer = header.from;
+      } else if (header.from != conn->peer) {
+        obs_.dropped_decode->Inc();
+        DropConn(fd);
+        return;
+      }
+      obs_.tcp_rx->Inc();
+      DeliverFrame(header, payload);
+      // Delivery runs protocol code which may drop this very connection;
+      // re-check before touching it again.
+      auto it = conns_.find(fd);
+      if (it == conns_.end() || &it->second != conn) {
+        return;
+      }
     }
-    if (err != FrameError::kNone) {
-      obs_.dropped_decode->Inc();
-      DropConn(fd);
-      return;
-    }
-    // Pin the connection to the first frame's sender identity; an in-stream
-    // identity change means a confused or hostile peer.
-    if (conn->peer == kInvalidAddr) {
-      conn->peer = header.from;
-    } else if (header.from != conn->peer) {
-      obs_.dropped_decode->Inc();
-      DropConn(fd);
-      return;
-    }
-    obs_.tcp_rx->Inc();
-    DeliverFrame(header, payload);
-    // Delivery runs protocol code which may drop this very connection;
-    // re-check before touching it again.
-    auto it = conns_.find(fd);
-    if (it == conns_.end() || &it->second != conn) {
-      return;
-    }
-  }
-  if (eof) {
-    DropConn(fd);
   }
 }
 

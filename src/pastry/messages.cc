@@ -51,7 +51,26 @@ bool DecodeHeader(Reader* r, PastryMsgType* type) {
   return true;
 }
 
+namespace {
+
+// Copies a payload blob out of the wire being decoded: the one owning copy
+// of a received application payload.
+bool DecodePayload(Reader* r, SharedBytes* payload) {
+  ByteSpan view;
+  if (!r->BlobView(&view)) {
+    return false;
+  }
+  *payload = SharedBytes::Copy(view);
+  return true;
+}
+
+}  // namespace
+
 void RouteMsg::EncodeBody(Writer* w) const {
+  // Fixed fields and list lengths (75 bytes), the path and trace, then the
+  // payload blob last: sized once, so the payload is written into its final
+  // buffer.
+  w->Reserve(75 + 4 * path.size() + 21 * trace.size() + 4 + payload.size());
   w->Id128(key);
   EncodeDescriptor(w, source);
   w->U32(app_type);
@@ -107,7 +126,7 @@ bool RouteMsg::DecodeBody(Reader* r, RouteMsg* m) {
     }
     h.rule = static_cast<RouteRule>(rule);
   }
-  return r->Blob(&m->payload);
+  return DecodePayload(r, &m->payload);
 }
 
 void RouteAckMsg::EncodeBody(Writer* w) const { w->U64(seq); }
@@ -242,7 +261,8 @@ void AppDirectMsg::EncodeBody(Writer* w) const {
 }
 
 bool AppDirectMsg::DecodeBody(Reader* r, AppDirectMsg* m) {
-  return DecodeDescriptor(r, &m->source) && r->U32(&m->app_type) && r->Blob(&m->payload);
+  return DecodeDescriptor(r, &m->source) && r->U32(&m->app_type) &&
+         DecodePayload(r, &m->payload);
 }
 
 Bytes EncodeAppDirect(const NodeDescriptor& source, uint32_t app_type,
@@ -250,6 +270,7 @@ Bytes EncodeAppDirect(const NodeDescriptor& source, uint32_t app_type,
   // Mirrors EncodeMessage + EncodeBody above; a payload view in, one wire
   // buffer out, no intermediate copy.
   Writer w;
+  w.Reserve(2 + 20 + 4 + 4 + payload.size());
   w.U8(kPastryWireVersion);
   w.U8(static_cast<uint8_t>(AppDirectMsg::kType));
   EncodeDescriptor(&w, source);

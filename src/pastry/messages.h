@@ -4,6 +4,12 @@
 // decoded on receipt, so the protocol cannot accidentally rely on shared
 // memory. Each struct provides EncodeBody/DecodeBody; EncodeMessage() adds a
 // (version, type) header and DecodeHeader() strips it.
+//
+// Application payloads (RouteMsg, AppDirectMsg) are SharedBytes. Decoding
+// one copies the payload out of the wire into its own exact-size buffer:
+// the one owning copy a received message costs. The application then
+// decodes that buffer by slicing it, and keeping a slice (stored replica,
+// cached file) pins only this message, never the transport's buffers.
 #pragma once
 
 #include <optional>
@@ -69,7 +75,7 @@ struct RouteMsg {
   // (decider address, routing rule used, proximity distance of the hop).
   // Always trace.size() == hops; `seq` doubles as the trace id.
   std::vector<RouteHop> trace;
-  Bytes payload;
+  SharedBytes payload;
 
   void EncodeBody(Writer* w) const;
   [[nodiscard]] static bool DecodeBody(Reader* r, RouteMsg* m);
@@ -215,7 +221,7 @@ struct AppDirectMsg {
 
   NodeDescriptor source;
   uint32_t app_type = 0;
-  Bytes payload;
+  SharedBytes payload;
 
   void EncodeBody(Writer* w) const;
   [[nodiscard]] static bool DecodeBody(Reader* r, AppDirectMsg* m);

@@ -198,7 +198,7 @@ size_t PastryNode::MemoryUsage() const {
 
 // --- routing -----------------------------------------------------------------
 
-uint64_t PastryNode::Route(const U128& key, uint32_t app_type, Bytes payload,
+uint64_t PastryNode::Route(const U128& key, uint32_t app_type, SharedBytes payload,
                            uint8_t replica_k, uint64_t parent_span) {
   PAST_CHECK_MSG(active_, "Route() on an inactive node");
   RouteMsg msg;
@@ -222,7 +222,7 @@ void PastryNode::SendDirect(NodeAddr to, uint32_t app_type, SharedBytes payload)
   if (to == addr_) {
     // Local shortcut with identical semantics — and no encode at all.
     if (app_ != nullptr) {
-      app_->ReceiveDirect(descriptor(), app_type, payload.span());
+      app_->ReceiveDirect(descriptor(), app_type, payload);
     }
     return;
   }
@@ -412,7 +412,7 @@ void PastryNode::ProcessRouteMsg(RouteMsg msg, int attempts) {
       ctx.path = msg.path;
       ctx.trace.trace_id = msg.seq;
       ctx.trace.hops = msg.trace;
-      app_->Deliver(ctx, ByteSpan(msg.payload.data(), msg.payload.size()));
+      app_->Deliver(ctx, msg.payload);
     }
     return;
   }
@@ -432,7 +432,8 @@ void PastryNode::ForwardTo(const RouteChoice& choice, RouteMsg msg, int attempts
               static_cast<unsigned long long>(msg.seq));
     return;
   }
-  RouteMsg original = msg;  // pre-hop state, for re-routing on ack timeout
+  // Pre-hop state, for re-routing on ack timeout (the payload is shared).
+  RouteMsg original = msg;
   const double hop_distance = ProximityTo(next.addr);
   msg.hops += 1;
   msg.distance += hop_distance;
@@ -949,8 +950,7 @@ void PastryNode::OnMessage(NodeAddr from, ByteSpan wire) {
       TouchLiveness(msg.source.id);
       Learn(msg.source);
       if (app_ != nullptr) {
-        app_->ReceiveDirect(msg.source, msg.app_type,
-                            ByteSpan(msg.payload.data(), msg.payload.size()));
+        app_->ReceiveDirect(msg.source, msg.app_type, msg.payload);
       }
       break;
     }

@@ -50,14 +50,17 @@ class PastryApp {
  public:
   virtual ~PastryApp() = default;
 
+  // Payloads arrive as the SharedBytes the Pastry decoder copied them into
+  // (one owning copy per received message); the app may keep slices of it.
+
   // The message reached the node responsible for `key`.
-  virtual void Deliver(const DeliverContext& ctx, ByteSpan payload) = 0;
+  virtual void Deliver(const DeliverContext& ctx, const SharedBytes& payload) = 0;
 
   // Called on each node the message transits, just before forwarding to
-  // `next`. The app may mutate the payload. Returning false absorbs the
+  // `next`. The app may replace the payload. Returning false absorbs the
   // message (PAST answers lookups from caches this way).
   virtual bool Forward(const U128& key, uint32_t app_type, const NodeDescriptor& next,
-                       Bytes* payload) {
+                       SharedBytes* payload) {
     (void)key;
     (void)app_type;
     (void)next;
@@ -67,7 +70,7 @@ class PastryApp {
 
   // A point-to-point message from another node's app layer.
   virtual void ReceiveDirect(const NodeDescriptor& from, uint32_t app_type,
-                             ByteSpan payload) {
+                             const SharedBytes& payload) {
     (void)from;
     (void)app_type;
     (void)payload;
@@ -138,16 +141,14 @@ class PastryNode : public NetReceiver {
   // Returns the message seq (for correlating with delivery in experiments).
   // `parent_span` (a Tracer span id, 0 = untraced) rides the wire so per-hop
   // spans recorded at intermediate nodes parent onto the issuing operation.
-  uint64_t Route(const U128& key, uint32_t app_type, Bytes payload,
+  uint64_t Route(const U128& key, uint32_t app_type, SharedBytes payload,
                  uint8_t replica_k = 0, uint64_t parent_span = 0);
 
   // Point-to-point application message. The SharedBytes payload rides the
   // same zero-copy path as SendWire: the encoded wire is one allocation, and
-  // the payload view is written straight into it.
+  // the payload view is written straight into it. A send to self hands the
+  // payload itself to the local app, with no encode at all.
   void SendDirect(NodeAddr to, uint32_t app_type, SharedBytes payload);
-  void SendDirect(NodeAddr to, uint32_t app_type, Bytes payload) {
-    SendDirect(to, app_type, SharedBytes(std::move(payload)));
-  }
 
   // Encode-once fan-out: pre-encode a direct message, then hand the same
   // wire buffer to SendDirectWire for each recipient. Self-sends travel

@@ -140,7 +140,7 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
   // buffer. EventFn stores move-only callables inline, so neither the
   // payload nor the closure is heap-allocated here.
   uint32_t to_epoch = endpoints_[to].epoch;
-  queue_->After(latency, [this, from, to, to_epoch, wire = std::move(wire)] {
+  auto deliver = [this, from, to, to_epoch, wire = std::move(wire)] {
     Endpoint& dest = endpoints_[to];
     if (!dest.up || dest.epoch != to_epoch) {
       // Down, or the slot was re-let to a new tenant after this message left.
@@ -149,7 +149,10 @@ void Network::Send(NodeAddr from, NodeAddr to, SharedBytes wire) {
     }
     delivered_->Inc();
     dest.receiver->OnMessage(from, wire.span());
-  });
+  };
+  static_assert(sizeof(deliver) <= EventFn::kInlineSize,
+                "the delivery closure must fit EventFn's inline storage");
+  queue_->After(latency, std::move(deliver));
 }
 
 size_t Network::EndpointMemoryUsage() const {

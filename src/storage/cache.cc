@@ -13,7 +13,7 @@ double Cache::PriorityFor(uint64_t size) const {
   return inflation_;
 }
 
-bool Cache::Insert(const FileCertificate& cert, Bytes content, uint64_t available) {
+bool Cache::Insert(const FileCertificate& cert, SharedBytes content, uint64_t available) {
   if (policy_ == CachePolicy::kNone) {
     return false;
   }

@@ -12,6 +12,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "src/common/shared_bytes.h"
 #include "src/obs/metrics.h"
 #include "src/storage/certificates.h"
 
@@ -21,7 +22,7 @@ enum class CachePolicy { kNone, kLru, kGreedyDualSize };
 
 struct CachedFile {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;  // shares the buffer it was cached from
 };
 
 class Cache {
@@ -43,7 +44,7 @@ class Cache {
   // Inserts a file, evicting lower-priority entries while the cache exceeds
   // `available` bytes. Returns false if the policy is kNone, the file cannot
   // fit, or it is already cached.
-  bool Insert(const FileCertificate& cert, Bytes content, uint64_t available);
+  bool Insert(const FileCertificate& cert, SharedBytes content, uint64_t available);
 
   // Lookup; bumps the entry's priority on hit.
   const CachedFile* Get(const FileId& id);

@@ -8,16 +8,29 @@
 namespace past {
 namespace {
 
-Bytes EncodeStoredFile(const StoredFile& file) {
-  Writer w;
-  file.cert.EncodeTo(&w);
-  w.Blob(ByteSpan(file.content.data(), file.content.size()));
-  w.Bool(file.diverted);
-  EncodeDescriptor(&w, file.diverted_from);
-  return w.Take();
+// A serialized StoredFile is cert, content blob, diverted flag, holder
+// descriptor. It goes to the engine as three pieces around the content, so
+// the content is copied once, into the log record, and never staged.
+struct StoredFileEncoding {
+  Bytes head;  // certificate and the content's length prefix
+  Bytes tail;  // diverted flag and holder descriptor
+};
+
+StoredFileEncoding EncodeStoredFileAround(const StoredFile& file) {
+  StoredFileEncoding enc;
+  Writer head;
+  file.cert.EncodeTo(&head);
+  head.U32(static_cast<uint32_t>(file.content.size()));
+  enc.head = head.Take();
+  Writer tail;
+  tail.Bool(file.diverted);
+  EncodeDescriptor(&tail, file.diverted_from);
+  enc.tail = tail.Take();
+  return enc;
 }
 
-bool DecodeStoredFile(ByteSpan data, StoredFile* out) {
+// `data` is the whole recovered value; the content decodes as a slice of it.
+bool DecodeStoredFile(const SharedBytes& data, StoredFile* out) {
   Reader r(data);
   return FileCertificate::DecodeFrom(&r, &out->cert) && r.Blob(&out->content) &&
          r.Bool(&out->diverted) && DecodeDescriptor(&r, &out->diverted_from) &&
@@ -63,8 +76,7 @@ StatusCode DiskBackend::LoadRecovered() {
       return value.status();
     }
     StoredFile file;
-    if (!DecodeStoredFile(ByteSpan(value.value().data(), value.value().size()),
-                          &file) ||
+    if (!DecodeStoredFile(SharedBytes(std::move(value).value()), &file) ||
         file.cert.file_id != key) {
       return StatusCode::kCorruption;
     }
@@ -92,9 +104,9 @@ StatusCode DiskBackend::LoadRecovered() {
 }
 
 StatusCode DiskBackend::Put(StoredFile file) {
-  Bytes value = EncodeStoredFile(file);
-  StatusCode status =
-      engine_->Put(file.cert.file_id, ByteSpan(value.data(), value.size()));
+  const StoredFileEncoding enc = EncodeStoredFileAround(file);
+  const ByteSpan pieces[] = {enc.head, file.content, enc.tail};
+  StatusCode status = engine_->Put(file.cert.file_id, pieces);
   if (status != StatusCode::kOk) {
     return status;
   }

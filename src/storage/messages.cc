@@ -3,11 +3,21 @@
 namespace past {
 namespace {
 
-// All payload decoders require full consumption of the buffer.
-template <typename F>
-bool DecodeAll(ByteSpan data, F&& body) {
+// All payload decoders require full consumption of the buffer. Over a
+// SharedBytes message, content blobs decode as slices of it.
+template <typename Data, typename F>
+bool DecodeAll(const Data& data, F&& body) {
   Reader r(data);
   return body(&r) && r.AtEnd();
+}
+
+constexpr size_t kDescriptorBytes = 20;
+
+// Writes the content blob into a buffer sized once for it and the `tail`
+// bytes of fields that follow it, so those fields never move the content.
+void ContentBlob(Writer* w, const SharedBytes& content, size_t tail) {
+  w->Reserve(4 + content.size() + tail);
+  w->Blob(content);
 }
 
 }  // namespace
@@ -15,12 +25,12 @@ bool DecodeAll(ByteSpan data, F&& body) {
 Bytes InsertRequestPayload::Encode() const {
   Writer w;
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, kDescriptorBytes);
   EncodeDescriptor(&w, client);
   return w.Take();
 }
 
-bool InsertRequestPayload::Decode(ByteSpan data, InsertRequestPayload* out) {
+bool InsertRequestPayload::Decode(const SharedBytes& data, InsertRequestPayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return FileCertificate::DecodeFrom(r, &out->cert) && r->Blob(&out->content) &&
            DecodeDescriptor(r, &out->client);
@@ -30,13 +40,13 @@ bool InsertRequestPayload::Decode(ByteSpan data, InsertRequestPayload* out) {
 Bytes StoreReplicaPayload::Encode() const {
   Writer w;
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, kDescriptorBytes + 1);
   EncodeDescriptor(&w, client);
   w.Bool(divert_allowed);
   return w.Take();
 }
 
-bool StoreReplicaPayload::Decode(ByteSpan data, StoreReplicaPayload* out) {
+bool StoreReplicaPayload::Decode(const SharedBytes& data, StoreReplicaPayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return FileCertificate::DecodeFrom(r, &out->cert) && r->Blob(&out->content) &&
            DecodeDescriptor(r, &out->client) && r->Bool(&out->divert_allowed);
@@ -46,13 +56,13 @@ bool StoreReplicaPayload::Decode(ByteSpan data, StoreReplicaPayload* out) {
 Bytes DivertStorePayload::Encode() const {
   Writer w;
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, 2 * kDescriptorBytes);
   EncodeDescriptor(&w, client);
   EncodeDescriptor(&w, primary);
   return w.Take();
 }
 
-bool DivertStorePayload::Decode(ByteSpan data, DivertStorePayload* out) {
+bool DivertStorePayload::Decode(const SharedBytes& data, DivertStorePayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return FileCertificate::DecodeFrom(r, &out->cert) && r->Blob(&out->content) &&
            DecodeDescriptor(r, &out->client) && DecodeDescriptor(r, &out->primary);
@@ -114,13 +124,13 @@ bool LookupRequestPayload::Decode(ByteSpan data, LookupRequestPayload* out) {
 Bytes LookupReplyPayload::Encode() const {
   Writer w;
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, 1 + kDescriptorBytes);
   w.Bool(from_cache);
   EncodeDescriptor(&w, replier);
   return w.Take();
 }
 
-bool LookupReplyPayload::Decode(ByteSpan data, LookupReplyPayload* out) {
+bool LookupReplyPayload::Decode(const SharedBytes& data, LookupReplyPayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return FileCertificate::DecodeFrom(r, &out->cert) && r->Blob(&out->content) &&
            r->Bool(&out->from_cache) && DecodeDescriptor(r, &out->replier);
@@ -146,11 +156,11 @@ Bytes FetchReplyPayload::Encode() const {
   Writer w;
   w.Bool(found);
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, 0);
   return w.Take();
 }
 
-bool FetchReplyPayload::Decode(ByteSpan data, FetchReplyPayload* out) {
+bool FetchReplyPayload::Decode(const SharedBytes& data, FetchReplyPayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return r->Bool(&out->found) && FileCertificate::DecodeFrom(r, &out->cert) &&
            r->Blob(&out->content);
@@ -185,11 +195,11 @@ bool ReclaimReceiptPayload::Decode(ByteSpan data, ReclaimReceiptPayload* out) {
 Bytes CachePushPayload::Encode() const {
   Writer w;
   cert.EncodeTo(&w);
-  w.Blob(content);
+  ContentBlob(&w, content, 0);
   return w.Take();
 }
 
-bool CachePushPayload::Decode(ByteSpan data, CachePushPayload* out) {
+bool CachePushPayload::Decode(const SharedBytes& data, CachePushPayload* out) {
   return DecodeAll(data, [&](Reader* r) {
     return FileCertificate::DecodeFrom(r, &out->cert) && r->Blob(&out->content);
   });

@@ -3,6 +3,14 @@
 // Routed operations (keyed by the 128 msbs of the fileId): insert, lookup,
 // reclaim. Direct operations: replica placement and diversion, receipts back
 // to the client, fetches, cache pushes, replica maintenance and audits.
+//
+// File content is a SharedBytes (DESIGN.md "Content buffers"). The payloads
+// that carry content decode from the received message's SharedBytes and
+// slice the content out of it, so a replica stored or a file cached from a
+// message shares that message's buffer instead of copying it. Their
+// encoders size the output once, before the content blob, so the fields
+// after the content never move it. Encodings are byte-identical to the
+// plain serializer's.
 #pragma once
 
 #include "src/common/serializer.h"
@@ -35,31 +43,31 @@ enum class PastOp : uint32_t {
 
 struct InsertRequestPayload {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
   NodeDescriptor client;
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, InsertRequestPayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, InsertRequestPayload* out);
 };
 
 struct StoreReplicaPayload {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
   NodeDescriptor client;
   bool divert_allowed = true;
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, StoreReplicaPayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, StoreReplicaPayload* out);
 };
 
 struct DivertStorePayload {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
   NodeDescriptor client;
   NodeDescriptor primary;  // the node that keeps the pointer
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, DivertStorePayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, DivertStorePayload* out);
 };
 
 struct DivertResultPayload {
@@ -96,12 +104,12 @@ struct LookupRequestPayload {
 
 struct LookupReplyPayload {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
   bool from_cache = false;
   NodeDescriptor replier;
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, LookupReplyPayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, LookupReplyPayload* out);
 };
 
 struct FetchRequestPayload {
@@ -118,10 +126,10 @@ struct FetchRequestPayload {
 struct FetchReplyPayload {
   bool found = false;
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, FetchReplyPayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, FetchReplyPayload* out);
 };
 
 struct ReclaimRequestPayload {
@@ -141,10 +149,10 @@ struct ReclaimReceiptPayload {
 
 struct CachePushPayload {
   FileCertificate cert;
-  Bytes content;
+  SharedBytes content;
 
   Bytes Encode() const;
-  [[nodiscard]] static bool Decode(ByteSpan data, CachePushPayload* out);
+  [[nodiscard]] static bool Decode(const SharedBytes& data, CachePushPayload* out);
 };
 
 struct ReplicaNotifyPayload {

@@ -29,7 +29,9 @@ Bytes SyntheticContentHash(std::string_view name, uint64_t size) {
 
 std::unique_ptr<StoreBackend> PastNode::MakeBackend(const PastConfig& config,
                                                     const NodeId& id,
-                                                    MetricsRegistry* metrics) {
+                                                    MetricsRegistry* metrics,
+                                                    StatusCode* status) {
+  *status = StatusCode::kOk;
   if (config.state_dir.empty()) {
     return std::make_unique<MemoryBackend>();
   }
@@ -38,8 +40,9 @@ std::unique_ptr<StoreBackend> PastNode::MakeBackend(const PastConfig& config,
   const std::string dir = config.state_dir + "/" + id.ToHex();
   Result<std::unique_ptr<DiskBackend>> backend = DiskBackend::Open(dir, options);
   if (!backend.ok()) {
-    PAST_WARN("node %s: cannot open durable store in %s (%s); running in memory",
+    PAST_WARN("node %s: cannot open durable store in %s (%s); refusing replicas",
               id.ToHex().c_str(), dir.c_str(), StatusCodeName(backend.status()));
+    *status = backend.status();
     return std::make_unique<MemoryBackend>();
   }
   return std::move(backend).value();
@@ -52,7 +55,8 @@ PastNode::PastNode(PastryNode* overlay, std::unique_ptr<Smartcard> card,
       config_(config),
       rng_(seed),
       store_(card_->contributed_storage(),
-             MakeBackend(config, overlay->id(), &overlay->net()->metrics()),
+             MakeBackend(config, overlay->id(), &overlay->net()->metrics(),
+                         &store_status_),
              &overlay->net()->metrics()),
       cache_(config.cache_policy, &overlay->net()->metrics()),
       verify_cache_(config.verify_cache_entries, &overlay->net()->metrics()) {
@@ -91,6 +95,7 @@ void PastNode::ResolveInstruments() {
   obs_.demotions = m.GetCounter("past.demotions");
   obs_.reclaims_processed = m.GetCounter("past.reclaims_processed");
   obs_.bad_certificates = m.GetCounter("past.bad_certificates");
+  obs_.store_unavailable = m.GetCounter("past.store_unavailable");
   obs_.insert_latency = m.GetLogHistogram("past.insert.latency_us");
   obs_.lookup_latency = m.GetLogHistogram("past.lookup.latency_us");
   obs_.reclaim_latency = m.GetLogHistogram("past.reclaim.latency_us");
@@ -135,7 +140,7 @@ void PastNode::Insert(std::string name, Bytes content, uint32_t k, InsertCallbac
   state.name = std::move(name);
   state.content_hash = ContentHashOf(ByteSpan(content.data(), content.size()));
   state.size = content.size();
-  state.content = std::move(content);
+  state.content = SharedBytes(std::move(content));
   state.k = k == 0 ? config_.default_replication : k;
   state.cb = std::move(cb);
   state.started = Now();
@@ -278,7 +283,7 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   if (const StoredFile* f = store_.Get(file_id)) {
     LookupOutcome outcome;
     outcome.cert = f->cert;
-    outcome.content = f->content;
+    outcome.content.assign(f->content.begin(), f->content.end());
     outcome.from_cache = false;
     outcome.replier = overlay_->descriptor();
     ++stats_.lookups_served_store;
@@ -292,7 +297,7 @@ void PastNode::Lookup(const FileId& file_id, LookupCallback cb) {
   if (const CachedFile* f = cache_.Get(file_id)) {
     LookupOutcome outcome;
     outcome.cert = f->cert;
-    outcome.content = f->content;
+    outcome.content.assign(f->content.begin(), f->content.end());
     outcome.from_cache = true;
     outcome.replier = overlay_->descriptor();
     ++stats_.lookups_served_cache;
@@ -346,8 +351,7 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
     return;
   }
   // Verify content authenticity against the owner-signed certificate.
-  if (!reply.content.empty() &&
-      !reply.cert.MatchesContent(ByteSpan(reply.content.data(), reply.content.size()))) {
+  if (!reply.content.empty() && !reply.cert.MatchesContent(reply.content)) {
     ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     return;
@@ -366,7 +370,9 @@ void PastNode::HandleLookupReply(const LookupReplyPayload& reply) {
   }
   LookupOutcome outcome;
   outcome.cert = reply.cert;
-  outcome.content = reply.content;
+  // The public outcome owns its bytes: the one copy a lookup makes past the
+  // Pastry boundary.
+  outcome.content.assign(reply.content.begin(), reply.content.end());
   outcome.from_cache = reply.from_cache;
   outcome.replier = reply.replier;
   cb(std::move(outcome));
@@ -554,6 +560,10 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
     send_nack(StatusCode::kNotAuthorized);
     return;
   }
+  if (RefuseIfStoreUnavailable()) {
+    send_nack(StatusCode::kUnavailable);
+    return;
+  }
 
   if (config_.verify_crypto && !req.cert.Verify(broker_key_, &verify_cache_)) {
     ++stats_.bad_certificates;
@@ -562,8 +572,7 @@ void PastNode::HandleStoreReplica(const StoreReplicaPayload& req) {
     return;
   }
   // Detect content corrupted en route by faulty/malicious intermediate nodes.
-  if (!req.content.empty() &&
-      !req.cert.MatchesContent(ByteSpan(req.content.data(), req.content.size()))) {
+  if (!req.content.empty() && !req.cert.MatchesContent(req.content)) {
     ++stats_.bad_certificates;
     obs_.bad_certificates->Inc();
     send_nack(StatusCode::kVerificationFailed);
@@ -664,7 +673,9 @@ void PastNode::HandleDivertStore(const NodeDescriptor& from,
   result.file_id = id;
   result.client = req.client;
   result.accepted = false;
-  if (card_ != nullptr &&
+  // A node whose durable store is down refuses, and the diverting primary
+  // moves on to its next candidate.
+  if (card_ != nullptr && !RefuseIfStoreUnavailable() &&
       (!config_.verify_crypto || req.cert.Verify(broker_key_, &verify_cache_)) &&
       config_.honest && !store_.Has(id) &&
       config_.policy.AcceptDiverted(req.cert.file_size, primary_free())) {
@@ -701,8 +712,16 @@ void PastNode::HandleDivertResult(const NodeDescriptor& from,
   pending_diverts_.erase(it);
 }
 
-bool PastNode::StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
-                            const NodeDescriptor& diverted_from) {
+bool PastNode::RefuseIfStoreUnavailable() {
+  if (store_status_ == StatusCode::kOk) {
+    return false;
+  }
+  obs_.store_unavailable->Inc();
+  return true;
+}
+
+void PastNode::StorePrimary(const FileCertificate& cert, SharedBytes content,
+                            bool diverted, const NodeDescriptor& diverted_from) {
   const uint64_t size = cert.file_size;
   PAST_CHECK(size <= store_.free_space());
   // Cached copies yield to real replicas: shrink the cache so that primaries
@@ -717,13 +736,12 @@ bool PastNode::StorePrimary(const FileCertificate& cert, Bytes content, bool div
   file.diverted_from = diverted_from;
   StatusCode status = store_.Put(std::move(file));
   PAST_CHECK(status == StatusCode::kOk);
-  return true;
 }
 
 // --- storage node: lookup path --------------------------------------------------------
 
 void PastNode::ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                           const Bytes& content, bool from_cache,
+                           const SharedBytes& content, bool from_cache,
                            const std::vector<NodeAddr>& path) {
   LookupReplyPayload reply;
   reply.cert = cert;
@@ -801,7 +819,7 @@ void PastNode::HandleFetchRequest(const NodeDescriptor& from,
                                   const FetchRequestPayload& req) {
   const StoredFile* f = store_.Get(req.file_id);
   const FileCertificate* cert = nullptr;
-  const Bytes* content = nullptr;
+  const SharedBytes* content = nullptr;
   bool from_cache = false;
   if (f != nullptr) {
     cert = &f->cert;
@@ -831,7 +849,7 @@ void PastNode::HandleFetchReply(const FetchReplyPayload& reply) {
     return;
   }
   const FileId id = reply.cert.file_id;
-  if (store_.Has(id)) {
+  if (store_.Has(id) || RefuseIfStoreUnavailable()) {
     return;
   }
   if (config_.verify_crypto && !reply.cert.Verify(broker_key_, &verify_cache_)) {
@@ -905,7 +923,7 @@ void PastNode::HandleReclaimReplica(const ReclaimRequestPayload& req) {
 
 // --- caching -------------------------------------------------------------------------------
 
-void PastNode::MaybeCache(const FileCertificate& cert, const Bytes& content) {
+void PastNode::MaybeCache(const FileCertificate& cert, const SharedBytes& content) {
   if (cache_.policy() == CachePolicy::kNone || store_.Has(cert.file_id) ||
       cache_.Contains(cert.file_id)) {
     return;
@@ -1001,7 +1019,7 @@ void PastNode::HandleReplicaNotify(const NodeDescriptor& from,
 
 // --- PastryApp dispatch -------------------------------------------------------------------------
 
-void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
+void PastNode::Deliver(const DeliverContext& ctx, const SharedBytes& payload) {
   switch (static_cast<PastOp>(ctx.app_type)) {
     case PastOp::kInsertRequest: {
       InsertRequestPayload req;
@@ -1037,7 +1055,7 @@ void PastNode::Deliver(const DeliverContext& ctx, ByteSpan payload) {
 }
 
 bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor& next,
-                       Bytes* payload) {
+                       SharedBytes* payload) {
   (void)key;
   (void)next;
   switch (static_cast<PastOp>(app_type)) {
@@ -1046,16 +1064,14 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
         return true;
       }
       InsertRequestPayload req;
-      if (InsertRequestPayload::Decode(ByteSpan(payload->data(), payload->size()),
-                                       &req)) {
+      if (InsertRequestPayload::Decode(*payload, &req)) {
         MaybeCache(req.cert, req.content);
       }
       return true;
     }
     case PastOp::kLookupRequest: {
       LookupRequestPayload req;
-      if (!LookupRequestPayload::Decode(ByteSpan(payload->data(), payload->size()),
-                                        &req)) {
+      if (!LookupRequestPayload::Decode(*payload, &req)) {
         return true;
       }
       // A transit node holding the file (replica or cached copy) answers
@@ -1076,7 +1092,7 @@ bool PastNode::Forward(const U128& key, uint32_t app_type, const NodeDescriptor&
 }
 
 void PastNode::ReceiveDirect(const NodeDescriptor& from, uint32_t app_type,
-                             ByteSpan payload) {
+                             const SharedBytes& payload) {
   switch (static_cast<PastOp>(app_type)) {
     case PastOp::kStoreReplica: {
       StoreReplicaPayload req;

@@ -173,18 +173,24 @@ class PastNode : public PastryApp {
   // The simulation-wide metrics registry this node reports into.
   MetricsRegistry& metrics() { return overlay_->net()->metrics(); }
 
+  // kOk unless this node was configured with a state_dir whose durable
+  // store failed to open. Such a node stores nothing: it refuses every
+  // replica (a kUnavailable NACK, counted in past.store_unavailable) rather
+  // than issue receipts for copies that would exist only in RAM.
+  StatusCode store_status() const { return store_status_; }
+
   // PastryApp:
-  void Deliver(const DeliverContext& ctx, ByteSpan payload) override;
+  void Deliver(const DeliverContext& ctx, const SharedBytes& payload) override;
   bool Forward(const U128& key, uint32_t app_type, const NodeDescriptor& next,
-               Bytes* payload) override;
+               SharedBytes* payload) override;
   void ReceiveDirect(const NodeDescriptor& from, uint32_t app_type,
-                     ByteSpan payload) override;
+                     const SharedBytes& payload) override;
   void OnLeafSetChanged() override;
 
  private:
   struct PendingInsert {
     std::string name;
-    Bytes content;
+    SharedBytes content;
     Bytes content_hash;
     uint64_t size = 0;
     uint32_t k = 0;
@@ -213,7 +219,7 @@ class PastNode : public PastryApp {
   };
   struct PendingDivert {
     FileCertificate cert;
-    Bytes content;
+    SharedBytes content;
     NodeDescriptor client;
     std::vector<NodeDescriptor> candidates;  // remaining targets to try
   };
@@ -249,13 +255,15 @@ class PastNode : public PastryApp {
                             const AuditChallengePayload& challenge);
   void HandleAuditResponse(const AuditResponsePayload& response);
 
-  // Storage helpers.
-  bool StorePrimary(const FileCertificate& cert, Bytes content, bool diverted,
+  // Storage helpers. Content is shared, never copied, between them.
+  void StorePrimary(const FileCertificate& cert, SharedBytes content, bool diverted,
                     const NodeDescriptor& diverted_from);
   void ServeLookup(const NodeDescriptor& client, const FileCertificate& cert,
-                   const Bytes& content, bool from_cache,
+                   const SharedBytes& content, bool from_cache,
                    const std::vector<NodeAddr>& path);
-  void MaybeCache(const FileCertificate& cert, const Bytes& content);
+  void MaybeCache(const FileCertificate& cert, const SharedBytes& content);
+  // Counts and refuses a replica on a node whose durable store is down.
+  bool RefuseIfStoreUnavailable();
   // Proof-of-possession digest: SHA-256(content hash || nonce), computable
   // only by nodes that kept the file's certified record. (Full-content audits
   // would additionally hash the stored bytes; see DESIGN.md.)
@@ -266,14 +274,15 @@ class PastNode : public PastryApp {
   void RunMaintenance();
 
   // The store backend this node's config asks for: memory when state_dir is
-  // empty, otherwise the durable engine under <state_dir>/<nodeId hex>
-  // (falling back to memory, with a warning, if the directory cannot be
-  // opened).
+  // empty, otherwise the durable engine under <state_dir>/<nodeId hex>. If
+  // that cannot be opened, *status gets the failure and the node runs with
+  // an empty in-memory stand-in that nothing is ever written to.
   static std::unique_ptr<StoreBackend> MakeBackend(const PastConfig& config,
                                                    const NodeId& id,
-                                                   MetricsRegistry* metrics);
+                                                   MetricsRegistry* metrics,
+                                                   StatusCode* status);
 
-  void SendOp(NodeAddr to, PastOp op, Bytes payload) {
+  void SendOp(NodeAddr to, PastOp op, SharedBytes payload) {
     overlay_->SendDirect(to, static_cast<uint32_t>(op), std::move(payload));
   }
   // Fan-out to several recipients: encode the wire once and share it, so a
@@ -291,7 +300,7 @@ class PastNode : public PastryApp {
   }
   // Routes toward `key`; `parent_span` rides the wire so remote hop spans
   // attach under the issuing operation. Returns the route seq.
-  uint64_t RouteOp(const U128& key, PastOp op, Bytes payload,
+  uint64_t RouteOp(const U128& key, PastOp op, SharedBytes payload,
                    uint64_t parent_span = 0) {
     return overlay_->Route(key, static_cast<uint32_t>(op), std::move(payload),
                            /*replica_k=*/0, parent_span);
@@ -309,6 +318,7 @@ class PastNode : public PastryApp {
   RsaPublicKey broker_key_;
   PastConfig config_;
   Rng rng_;
+  StatusCode store_status_ = StatusCode::kOk;  // set while store_ is built
   FileStore store_;
   Cache cache_;
   // Memo cache for certificate/receipt verification. Per node, so a restart
@@ -341,6 +351,7 @@ class PastNode : public PastryApp {
     Counter* demotions;
     Counter* reclaims_processed;
     Counter* bad_certificates;
+    Counter* store_unavailable;  // replicas refused: durable store not open
     // End-to-end client-op latency quantiles (sim-time, client call to
     // callback), observed only on success.
     LogHistogram* insert_latency;

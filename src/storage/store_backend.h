@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/shared_bytes.h"
 #include "src/common/status.h"
 #include "src/pastry/node_id.h"
 #include "src/storage/certificates.h"
@@ -19,7 +20,9 @@ namespace past {
 
 struct StoredFile {
   FileCertificate cert;
-  Bytes content;        // may be empty in synthetic-content mode
+  // Empty in synthetic-content mode. Usually a slice of the message (or the
+  // log value) the replica arrived in; see DESIGN.md "Content buffers".
+  SharedBytes content;
   bool diverted = false;  // stored here on behalf of another node
   NodeDescriptor diverted_from;  // the node holding the pointer (if diverted)
 };

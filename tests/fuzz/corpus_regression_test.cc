@@ -108,7 +108,7 @@ TEST(FuzzCorpusStorage, TruncatedCertificateRejected) {
   ASSERT_GT(raw.size(), 1u);
   InsertRequestPayload payload;
   EXPECT_FALSE(InsertRequestPayload::Decode(
-      ByteSpan(raw.data() + 1, raw.size() - 1), &payload));
+      SharedBytes::Copy(ByteSpan(raw.data() + 1, raw.size() - 1)), &payload));
 }
 
 TEST(FuzzCorpusStorage, ZeroModulusKeyRejected) {
@@ -129,7 +129,7 @@ TEST(FuzzCorpusStorage, AbsurdBlobLengthRejected) {
   ASSERT_GT(raw.size(), 1u);
   LookupReplyPayload payload;
   EXPECT_FALSE(LookupReplyPayload::Decode(
-      ByteSpan(raw.data() + 1, raw.size() - 1), &payload));
+      SharedBytes::Copy(ByteSpan(raw.data() + 1, raw.size() - 1)), &payload));
 }
 
 // --- diskstore/log_format ----------------------------------------------------
@@ -272,7 +272,7 @@ TEST(FuzzCorpus, EveryFileReplaysWithoutCrashing) {
     } else if (surface == "fuzz_storage_messages") {
       if (!raw.empty()) {
         InsertRequestPayload payload;
-        (void)InsertRequestPayload::Decode(data.subspan(1), &payload);
+        (void)InsertRequestPayload::Decode(SharedBytes::Copy(data.subspan(1)), &payload);
       }
     } else if (surface == "fuzz_net_frame") {
       FrameHeader header;

@@ -114,7 +114,7 @@ std::vector<Bytes> SeedInputs() {
   route.trace = {{1, RouteRule::kLeafSet, 10.0},
                  {2, RouteRule::kRoutingTable, 20.0},
                  {3, RouteRule::kReplicaShortcut, 30.0}};
-  route.payload = {0xde, 0xad, 0xbe, 0xef};
+  route.payload = Bytes{0xde, 0xad, 0xbe, 0xef};
   seeds.push_back(EncodeMessage(route));
 
   RouteAckMsg ack;
@@ -182,7 +182,7 @@ std::vector<Bytes> SeedInputs() {
   AppDirectMsg direct;
   direct.source = SomeDescriptor(23);
   direct.app_type = 110;
-  direct.payload = {1, 2, 3, 4, 5};
+  direct.payload = Bytes{1, 2, 3, 4, 5};
   seeds.push_back(EncodeMessage(direct));
 
   return seeds;

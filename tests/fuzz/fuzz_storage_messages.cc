@@ -42,13 +42,19 @@ enum Selector : uint8_t {
 
 template <typename P>
 void CheckPayload(ByteSpan body) {
+  // Decode as a received message: content-carrying payloads slice it.
+  const SharedBytes message = SharedBytes::Copy(body);
   P payload;
-  if (!P::Decode(body, &payload)) {
+  if (!P::Decode(message, &payload)) {
     return;
+  }
+  if constexpr (requires { payload.content; }) {
+    FUZZ_ASSERT(payload.content.empty() || message.Contains(payload.content.data()),
+                "decoded content must be a slice of the message, not a copy");
   }
   Bytes once = payload.Encode();
   P payload2;
-  FUZZ_ASSERT(P::Decode(ByteSpan(once.data(), once.size()), &payload2),
+  FUZZ_ASSERT(P::Decode(SharedBytes::Copy(once), &payload2),
               "re-encoded payload must decode");
   Bytes twice = payload2.Encode();
   FUZZ_ASSERT(once == twice, "encode must be idempotent after one round trip");
@@ -127,7 +133,7 @@ std::vector<Bytes> SeedInputs() {
       std::move(broker.IssueCard(1 << 20, 1 << 20)).value();
   Rng rng(11);
 
-  Bytes content = ToBytes("fuzz seed content");
+  const SharedBytes content = ToBytes("fuzz seed content");
   auto digest = Sha256::Hash(ByteSpan(content.data(), content.size()));
   FileCertificate cert =
       std::move(card->IssueFileCertificate(

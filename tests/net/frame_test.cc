@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/crc32c.h"
+#include "src/pastry/messages.h"
 
 namespace past {
 namespace {
@@ -182,6 +185,94 @@ TEST(FrameReader, CompactsConsumedPrefix) {
     Bytes body;
     ASSERT_EQ(reader.Next(&header, &body), FrameError::kNone);
     EXPECT_EQ(reader.buffered(), 0u);
+  }
+}
+
+// A 1 MiB frame arriving in many partial reads is delivered intact, and its
+// body is read straight into the buffer Next() hands over: past the first
+// read, no body byte passes through staging.
+TEST(FrameReader, LargeFrameOverPartialReadsLandsInItsOwnBuffer) {
+  Bytes payload(1u << 20);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  Bytes frame = EncodeFrame(5, 6, Span(payload));
+  FrameReader reader(2u << 20);
+  const uint8_t* mid_target = nullptr;
+  size_t mid_offset = 0;
+  size_t offset = 0;
+  FrameHeader header;
+  Bytes body;
+  FrameError err = FrameError::kNeedMore;
+  while (offset < frame.size()) {
+    std::span<uint8_t> target = reader.ReadTarget();
+    ASSERT_FALSE(target.empty());
+    // A socket read returns at most ~4 KiB here.
+    const size_t n = std::min({target.size(), frame.size() - offset, size_t{4093}});
+    std::copy_n(frame.data() + offset, n, target.data());
+    if (mid_target == nullptr && offset > frame.size() / 2) {
+      mid_target = target.data();
+      mid_offset = offset - kFrameHeaderSize;
+    }
+    reader.Commit(n);
+    offset += n;
+    err = reader.Next(&header, &body);
+    if (err != FrameError::kNeedMore) {
+      break;
+    }
+  }
+  ASSERT_EQ(err, FrameError::kNone);
+  EXPECT_EQ(offset, frame.size());
+  EXPECT_EQ(header.payload_len, payload.size());
+  EXPECT_EQ(body, payload);
+  EXPECT_EQ(body.data() + mid_offset, mid_target)
+      << "mid-frame reads must land in the delivered buffer itself";
+  EXPECT_EQ(reader.buffered(), 0u);
+}
+
+// A large frame followed, in the same reads, by small ones: every frame is
+// delivered in order, and a small message kept after delivery owns exactly
+// its own bytes (no neighbour's bytes, no shared read chunk).
+TEST(FrameReader, SmallMessageKeptAfterDeliveryOwnsOnlyItself) {
+  Bytes stream;
+  Bytes big = Bytes(100000, 0xab);
+  Bytes big_frame = EncodeFrame(1, 2, Span(big));
+  stream.insert(stream.end(), big_frame.begin(), big_frame.end());
+  std::vector<Bytes> wires;
+  for (uint8_t i = 0; i < 3; ++i) {
+    AppDirectMsg msg;
+    msg.source = NodeDescriptor{U128(i, i), i};
+    msg.app_type = 100u + i;
+    msg.payload = Bytes(2000 + i, static_cast<uint8_t>(0x10 + i));
+    wires.push_back(EncodeMessage(msg));
+    Bytes frame = EncodeFrame(1, 2, Span(wires.back()));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  FrameReader reader(1u << 20);
+  reader.Append(Span(stream));
+  FrameHeader header;
+  Bytes body;
+  ASSERT_EQ(reader.Next(&header, &body), FrameError::kNone);
+  EXPECT_EQ(body, big);
+  std::vector<SharedBytes> kept;
+  for (size_t i = 0; i < wires.size(); ++i) {
+    ASSERT_EQ(reader.Next(&header, &body), FrameError::kNone);
+    EXPECT_EQ(body, wires[i]);
+    Reader r(Span(body));
+    PastryMsgType type;
+    AppDirectMsg msg;
+    ASSERT_TRUE(DecodeHeader(&r, &type));
+    ASSERT_TRUE(DecodeBodyStrict(&r, &msg));
+    kept.push_back(msg.payload);
+  }
+  EXPECT_EQ(reader.Next(&header, &body), FrameError::kNeedMore);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].use_count(), 1);
+    EXPECT_EQ(kept[i].size(), 2000 + i);
+    EXPECT_EQ(kept[i].owner_size(), kept[i].size())
+        << "a kept message must pin only its own bytes";
+    EXPECT_TRUE(std::all_of(kept[i].begin(), kept[i].end(),
+                            [&](uint8_t b) { return b == 0x10 + i; }));
   }
 }
 

@@ -13,7 +13,7 @@ namespace {
 struct VariantApp : public PastryApp {
   int delivered = 0;
   U128 last_key;
-  void Deliver(const DeliverContext& ctx, ByteSpan) override {
+  void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
     ++delivered;
     last_key = ctx.key;
   }
@@ -111,7 +111,7 @@ TEST(ConfigVariantsTest, DigitWidthControlsHopStateTradeoff) {
     struct HopApp : public PastryApp {
       double hops = 0;
       int count = 0;
-      void Deliver(const DeliverContext& ctx, ByteSpan) override {
+      void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
         hops += ctx.hops;
         ++count;
       }

@@ -13,7 +13,7 @@ namespace {
 struct CountingApp : public PastryApp {
   int delivered = 0;
   int leaf_changes = 0;
-  void Deliver(const DeliverContext&, ByteSpan) override { ++delivered; }
+  void Deliver(const DeliverContext&, const SharedBytes&) override { ++delivered; }
   void OnLeafSetChanged() override { ++leaf_changes; }
 };
 

@@ -25,7 +25,7 @@ RouteMsg MakeRouteMsg() {
   msg.path = {1, 2};
   msg.trace = {{1, RouteRule::kLeafSet, 10.0},
                {2, RouteRule::kRoutingTable, 20.0}};
-  msg.payload = {9, 8, 7};
+  msg.payload = Bytes{9, 8, 7};
   return msg;
 }
 
@@ -78,7 +78,7 @@ TEST(PastryMalformedTest, AbsurdListCountFailsWithoutAllocating) {
   RouteMsg msg = MakeRouteMsg();
   msg.path.clear();
   msg.trace.clear();
-  msg.payload.clear();
+  msg.payload = SharedBytes();
   msg.hops = 0;
   Bytes wire = EncodeMessage(msg);
   // The empty path's count prefix is the u32 right after the fixed fields;

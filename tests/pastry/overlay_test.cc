@@ -119,7 +119,7 @@ TEST(OverlayTest, ExplicitIdIsUsed) {
 
 struct CollectApp : public PastryApp {
   std::vector<DeliverContext> delivered;
-  void Deliver(const DeliverContext& ctx, ByteSpan) override {
+  void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
     delivered.push_back(ctx);
   }
 };

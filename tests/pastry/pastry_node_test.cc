@@ -11,7 +11,7 @@ namespace {
 
 struct RecApp : public PastryApp {
   std::vector<DeliverContext> delivered;
-  void Deliver(const DeliverContext& ctx, ByteSpan) override {
+  void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
     delivered.push_back(ctx);
   }
 };

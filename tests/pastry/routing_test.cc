@@ -12,7 +12,7 @@ namespace {
 
 struct RecordingApp : public PastryApp {
   std::vector<DeliverContext> delivered;
-  void Deliver(const DeliverContext& ctx, ByteSpan) override {
+  void Deliver(const DeliverContext& ctx, const SharedBytes&) override {
     delivered.push_back(ctx);
   }
 };
@@ -318,7 +318,7 @@ TEST(RoutingTest, PayloadSurvivesRouting) {
   TestNet net(60, 31);
   struct PayloadApp : public PastryApp {
     Bytes last;
-    void Deliver(const DeliverContext&, ByteSpan payload) override {
+    void Deliver(const DeliverContext&, const SharedBytes& payload) override {
       last.assign(payload.begin(), payload.end());
     }
   } payload_app;
@@ -326,7 +326,7 @@ TEST(RoutingTest, PayloadSurvivesRouting) {
   PastryNode* target = net.overlay->GloballyClosestLiveNode(key);
   target->SetApp(&payload_app);
   Bytes payload = ToBytes("hello across the overlay");
-  net.overlay->RandomLiveNode()->Route(key, 42, payload);
+  net.overlay->RandomLiveNode()->Route(key, 42, SharedBytes::Copy(payload));
   net.overlay->RunAll();
   EXPECT_EQ(payload_app.last, payload);
 }
@@ -335,8 +335,8 @@ TEST(RoutingTest, ForwardHookCanAbsorbMessage) {
   TestNet net(80, 37);
   struct AbsorbApp : public PastryApp {
     int forwarded = 0;
-    void Deliver(const DeliverContext&, ByteSpan) override {}
-    bool Forward(const U128&, uint32_t, const NodeDescriptor&, Bytes*) override {
+    void Deliver(const DeliverContext&, const SharedBytes&) override {}
+    bool Forward(const U128&, uint32_t, const NodeDescriptor&, SharedBytes*) override {
       ++forwarded;
       return false;  // absorb everything
     }
@@ -370,8 +370,9 @@ TEST(RoutingTest, SendDirectReachesApp) {
     NodeDescriptor from;
     uint32_t type = 0;
     Bytes payload;
-    void Deliver(const DeliverContext&, ByteSpan) override {}
-    void ReceiveDirect(const NodeDescriptor& f, uint32_t t, ByteSpan p) override {
+    void Deliver(const DeliverContext&, const SharedBytes&) override {}
+    void ReceiveDirect(const NodeDescriptor& f, uint32_t t,
+                       const SharedBytes& p) override {
       from = f;
       type = t;
       payload.assign(p.begin(), p.end());

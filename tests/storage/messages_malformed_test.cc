@@ -46,14 +46,14 @@ void ExpectPrefixAndSuffixRejected(const P& payload) {
   Bytes wire = payload.Encode();
   for (size_t len = 0; len < wire.size(); ++len) {
     P out;
-    EXPECT_FALSE(P::Decode(ByteSpan(wire.data(), len), &out))
+    EXPECT_FALSE(P::Decode(SharedBytes::Copy(ByteSpan(wire.data(), len)), &out))
         << "prefix of length " << len << " of " << wire.size() << " decoded";
   }
   P ok;
-  EXPECT_TRUE(P::Decode(ByteSpan(wire.data(), wire.size()), &ok));
+  EXPECT_TRUE(P::Decode(SharedBytes::Copy(wire), &ok));
   wire.push_back(0x5a);
   P out;
-  EXPECT_FALSE(P::Decode(ByteSpan(wire.data(), wire.size()), &out));
+  EXPECT_FALSE(P::Decode(SharedBytes::Copy(wire), &out));
 }
 
 TEST_F(StorageMalformedTest, InsertRequestPrefixSweep) {
@@ -98,7 +98,7 @@ TEST_F(StorageMalformedTest, AbsurdContentLengthRejected) {
   Bytes wire = p.Encode();
 
   InsertRequestPayload small = p;
-  small.content.clear();
+  small.content = SharedBytes();
   Bytes wire_small = small.Encode();
   ASSERT_EQ(wire.size(), wire_small.size() + 8);
   // The encodings diverge inside the content length prefix.
@@ -112,7 +112,7 @@ TEST_F(StorageMalformedTest, AbsurdContentLengthRejected) {
   }
   InsertRequestPayload out;
   EXPECT_FALSE(
-      InsertRequestPayload::Decode(ByteSpan(wire.data(), wire.size()), &out));
+      InsertRequestPayload::Decode(SharedBytes::Copy(wire), &out));
 }
 
 TEST_F(StorageMalformedTest, GarbageBuffersRejected) {
@@ -120,8 +120,7 @@ TEST_F(StorageMalformedTest, GarbageBuffersRejected) {
   for (size_t size : {size_t{1}, size_t{13}, size_t{64}, size_t{257}}) {
     Bytes garbage = garbage_rng.RandomBytes(size);
     InsertRequestPayload insert;
-    EXPECT_FALSE(InsertRequestPayload::Decode(
-        ByteSpan(garbage.data(), garbage.size()), &insert));
+    EXPECT_FALSE(InsertRequestPayload::Decode(SharedBytes::Copy(garbage), &insert));
     ReclaimRequestPayload reclaim;
     EXPECT_FALSE(ReclaimRequestPayload::Decode(
         ByteSpan(garbage.data(), garbage.size()), &reclaim));

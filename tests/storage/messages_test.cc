@@ -190,7 +190,8 @@ TEST_F(StorageMessagesTest, TruncationRejected) {
   Bytes wire = p.Encode();
   for (size_t len = 0; len < wire.size(); len += 3) {
     InsertRequestPayload out;
-    EXPECT_FALSE(InsertRequestPayload::Decode(ByteSpan(wire.data(), len), &out));
+    EXPECT_FALSE(
+        InsertRequestPayload::Decode(SharedBytes::Copy(ByteSpan(wire.data(), len)), &out));
   }
 }
 
@@ -209,9 +210,9 @@ TEST_F(StorageMessagesTest, FuzzDecodersNeverCrash) {
   for (int trial = 0; trial < 1000; ++trial) {
     Bytes wire = fuzz.RandomBytes(fuzz.UniformU64(200));
     InsertRequestPayload a;
-    (void)InsertRequestPayload::Decode(wire, &a);
+    (void)InsertRequestPayload::Decode(SharedBytes::Copy(wire), &a);
     LookupReplyPayload b;
-    (void)LookupReplyPayload::Decode(wire, &b);
+    (void)LookupReplyPayload::Decode(SharedBytes::Copy(wire), &b);
     ReclaimRequestPayload c;
     (void)ReclaimRequestPayload::Decode(wire, &c);
     AuditResponsePayload d;

@@ -3,6 +3,10 @@
 // already holding its replicas — serving lookups without re-fetching them
 // through maintenance.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdio>
+#include <filesystem>
 
 #include "src/storage/past_network.h"
 #include "tests/diskstore/temp_dir.h"
@@ -117,6 +121,74 @@ TEST(PastPersistenceTest, PointersSurviveReboot) {
   ASSERT_TRUE(recovered.has_value());
   EXPECT_EQ(recovered->addr, holder.addr);
   EXPECT_EQ(recovered->id, holder.id);
+}
+
+// A node whose durable store cannot be opened (here: a stray shard-4-0/
+// layout directory in its one-shard state dir) must not fall back to RAM
+// and keep issuing receipts: it refuses every replica with kUnavailable and
+// stores nothing, while the rest of the network keeps inserting.
+TEST(PastPersistenceTest, UnopenableStoreRefusesReplicas) {
+  TempDir tmp;
+  const std::string state = tmp.Sub("state");
+  PastNetwork net(DurableNetOptions(407, state));
+  net.Build(10);
+  const size_t victim = 5;
+  const std::string dir =
+      state + "/" + net.node(victim)->overlay()->id().ToHex();
+  net.CrashNode(victim);
+  std::filesystem::create_directories(dir + "/shard-4-0");
+  PastNode* broken = net.RestartNode(victim);
+  EXPECT_EQ(broken->store_status(), StatusCode::kInvalidArgument);
+  net.Run(20 * kMicrosPerSecond);  // let the overlay re-admit it
+
+  Counter* unavailable = net.overlay().network().metrics().GetCounter(
+      "past.store_unavailable");
+  PastNode* client = net.node(1);
+  for (int i = 0; i < 12; ++i) {
+    auto inserted = net.InsertSync(client, "file-" + std::to_string(i),
+                                   ToBytes("payload-" + std::to_string(i)), 3);
+    ASSERT_TRUE(inserted.ok()) << StatusCodeName(inserted.status());
+    auto looked = net.LookupSync(net.node(2), inserted.value());
+    ASSERT_TRUE(looked.ok()) << StatusCodeName(looked.status());
+  }
+  EXPECT_GT(unavailable->value(), 0u) << "no insert reached the broken node";
+  EXPECT_EQ(broken->store().file_count(), 0u);
+  EXPECT_EQ(broken->stats().replicas_stored, 0u);
+}
+
+// The past_cli batch mode exits 1, naming the directory and the status,
+// instead of running on RAM when a node's durable store cannot be opened.
+TEST(PastPersistenceTest, PastCliExitsWhenAStoreCannotOpen) {
+  TempDir tmp;
+  const std::string state = tmp.Sub("state");
+  const std::string cmd = std::string(PAST_CLI_BINARY) +
+                          " --nodes 8 --ops 20 --state-dir " + state + " 2>&1";
+  auto run = [&](std::string* output) {
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    PAST_CHECK(pipe != nullptr);
+    char buf[4096];
+    while (size_t n = std::fread(buf, 1, sizeof(buf), pipe)) {
+      output->append(buf, n);
+    }
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  std::string first;
+  ASSERT_EQ(run(&first), 0) << first;
+
+  std::filesystem::path node_dir;
+  for (const auto& entry : std::filesystem::directory_iterator(state)) {
+    node_dir = entry.path();
+    break;
+  }
+  ASSERT_FALSE(node_dir.empty());
+  std::filesystem::create_directories(node_dir / "shard-4-0");
+  std::string second;
+  EXPECT_EQ(run(&second), 1) << second;
+  EXPECT_NE(second.find(state), std::string::npos) << second;
+  EXPECT_NE(second.find(StatusCodeName(StatusCode::kInvalidArgument)),
+            std::string::npos)
+      << second;
 }
 
 }  // namespace

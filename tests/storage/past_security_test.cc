@@ -37,7 +37,7 @@ TEST_F(PastSecurityTest, UncertifiedCardsCertificatesRejected) {
   PastNode* root = net_.node(5);
   InsertRequestPayload payload;
   payload.cert = cert.value();
-  payload.content = content;
+  payload.content = SharedBytes::Copy(content);
   payload.client = net_.node(6)->overlay()->descriptor();
   net_.node(6)->overlay()->Route(cert.value().file_id.Top128(),
                                  static_cast<uint32_t>(PastOp::kInsertRequest),
